@@ -27,7 +27,6 @@ fn main() {
         queue_capacity: 256,
         idle_timeout: Some(Duration::from_secs(300)),
         txn_timeout: Some(Duration::from_secs(60)),
-        workers: 8,
     };
     let mut flexcoin = false;
     let mut positional = 0;

@@ -29,6 +29,7 @@ use acidrain_apps::prelude::*;
 use acidrain_db::{Database, IsolationLevel};
 use acidrain_net::loadgen::{flexcoin_attack, render_report, run_level, LoadgenConfig};
 use acidrain_net::{Server, ServerConfig};
+use acidrain_obs::MetricsReport;
 
 fn server_config(sockets: usize) -> ServerConfig {
     ServerConfig {
@@ -38,7 +39,6 @@ fn server_config(sockets: usize) -> ServerConfig {
         queue_capacity: sockets,
         idle_timeout: Some(Duration::from_secs(300)),
         txn_timeout: Some(Duration::from_secs(60)),
-        workers: 8,
     }
 }
 
@@ -87,7 +87,9 @@ fn main() {
 
 fn run_bench(config: &LoadgenConfig, out: &str, smoke: bool) {
     let mut levels = Vec::new();
-    let mut merged_server = None;
+    // Each level runs on a fresh database; the artifact's `server`
+    // section is all of their reports folded together.
+    let mut server = MetricsReport::default();
     let mut failures = Vec::new();
     for level in IsolationLevel::ALL {
         // Fresh store + server per level so levels don't inherit each
@@ -131,10 +133,9 @@ fn run_bench(config: &LoadgenConfig, out: &str, smoke: bool) {
             ));
         }
         levels.push(result);
-        merged_server = Some(report);
+        server.merge(&report);
         handle.shutdown();
     }
-    let server = merged_server.expect("at least one level ran");
     std::fs::write(out, render_report(config, &levels, &server)).expect("write report");
     println!("wrote {out}");
     if smoke && !failures.is_empty() {

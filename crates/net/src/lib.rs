@@ -9,12 +9,11 @@
 //! the interleaving (Warszawski & Bailis, SIGMOD 2017, §5). This crate
 //! closes that gap with three pieces:
 //!
-//! * [`server`] — a dependency-free line-protocol server (one reactor
-//!   thread over non-blocking TCP, a small executor pool for blocking
-//!   statement work) that maps each socket onto an engine
-//!   [`acidrain_db::Connection`], with per-session isolation
-//!   negotiation, admission control, idle/in-transaction timeouts, and
-//!   abort-on-disconnect through the normal rollback path.
+//! * [`server`] — a dependency-free line-protocol server (an accept
+//!   thread plus one blocking thread per session) that maps each socket
+//!   onto an engine [`acidrain_db::Connection`], with per-session
+//!   isolation negotiation, admission control, idle/in-transaction
+//!   timeouts, and abort-on-disconnect through the normal rollback path.
 //! * [`client`] — [`client::RemoteConn`], a socket-backed
 //!   [`acidrain_apps::SqlConn`], so the entire application corpus and
 //!   its retry wrappers run unmodified across the wire.

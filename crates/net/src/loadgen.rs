@@ -410,4 +410,36 @@ mod tests {
         assert!(json.contains("\"code\": \"RC\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
+
+    /// The bench serves each level from a fresh database; the artifact's
+    /// `server` section must fold all of their reports together, so
+    /// every level's commits show up, not only the last level's.
+    #[test]
+    fn merged_server_report_carries_every_level() {
+        use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
+        let mut server = MetricsReport::default();
+        for (i, level) in IsolationLevel::ALL.into_iter().enumerate() {
+            let schema = Schema::new().with_table(TableSchema::new(
+                "t",
+                vec![ColumnDef::new("id", ColumnType::Int).unique()],
+            ));
+            let db = Database::new(schema, level);
+            db.enable_metrics();
+            let mut conn = db.connect();
+            for id in 0..=i as i64 {
+                conn.execute("BEGIN").unwrap();
+                conn.execute(&format!("INSERT INTO t (id) VALUES ({id})"))
+                    .unwrap();
+                conn.execute("COMMIT").unwrap();
+            }
+            server.merge(&db.metrics_report());
+        }
+        let json = render_report(&LoadgenConfig::default(), &[], &server);
+        for (i, level) in IsolationLevel::ALL.into_iter().enumerate() {
+            let row = format!("{{\"level\": \"{}\", \"commits\": {},", level.name(), i + 1);
+            assert!(json.contains(&row), "missing {row} in {json}");
+        }
+        assert_eq!(server.by_level.len(), IsolationLevel::ALL.len());
+        assert_eq!(server.counters.statements_ok, 3 * 21);
+    }
 }

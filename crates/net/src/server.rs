@@ -1,32 +1,30 @@
-//! The wire server: a reactor thread multiplexing non-blocking sockets
-//! onto a pool of executor workers.
+//! The wire server: one blocking thread per admitted session.
 //!
-//! One reactor thread owns the listener and every socket. It sweeps:
-//! accept → admission control → read → frame → dispatch → write →
-//! timeouts. Statement execution blocks (lock waits park on the lock
-//! table), so it never runs on the reactor: a complete request line and
-//! its session's [`Connection`] are moved to a worker over a shared job
-//! queue, and the connection comes back with the rendered response. A
-//! session therefore executes at most one frame at a time — pipelined
-//! input waits in the session's read buffer — which preserves the
-//! one-session-one-thread discipline the engine's `Connection` assumes.
+//! An accept thread owns the listener and runs admission control. Each
+//! admitted socket gets a thread of its own, which owns the socket and
+//! the session's engine [`Connection`] for the session's whole life and
+//! loops: blocking read of one frame → execute it inline → blocking
+//! write of the reply. A statement parked on the lock table stalls only
+//! its own session, and a session's frames execute in arrival order by
+//! construction — pipelined input simply waits in the socket, which
+//! keeps the one-session-one-thread discipline the engine's
+//! `Connection` assumes.
 //!
 //! Disconnect-abort needs no special machinery: when a socket vanishes,
-//! the reactor simply drops the session's `Connection`, and the
-//! connection's `Drop` takes the same rollback path an explicit
+//! the session thread's read ends, the thread drops its `Connection`,
+//! and the connection's `Drop` takes the same rollback path an explicit
 //! `ROLLBACK` would — undo, GC unpin, lock release, waiter wakeup, and
 //! the synthetic `Aborted` log entry (DESIGN.md §14 explains why routing
 //! this through the normal path is what keeps the §8 latch hierarchy
 //! intact).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use acidrain_db::{Connection, Database};
 use acidrain_obs::Obs;
@@ -34,7 +32,7 @@ use acidrain_obs::Obs;
 use crate::protocol::{encode_error, encode_result, escape, isolation_code, Request, MAX_LINE};
 
 /// Tuning knobs for [`Server::start`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
     /// Sessions the server will hold open at once (0 = unlimited). The
     /// database's own [`Database::set_max_sessions`] ceiling applies on
@@ -52,127 +50,46 @@ pub struct ServerConfig {
     /// client is told `ERR TXN_TIMEOUT` before the socket closes. This
     /// is the defense against a stalled client squatting on row locks.
     pub txn_timeout: Option<Duration>,
-    /// Executor threads. Each blocks for at most the database's
-    /// lock-wait timeout per statement.
-    pub workers: usize,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_sessions: 0,
-            queue_capacity: 0,
-            idle_timeout: None,
-            txn_timeout: None,
-            workers: 4,
-        }
-    }
+/// How long the accept thread naps between promotion retries while
+/// sockets wait in the admission queue — the only timed wait of a server
+/// with no timeouts configured. A slot the *engine's* session ceiling
+/// refused may be freed by another front end, which no event of this
+/// server reports.
+const PROMOTE_RETRY: Duration = Duration::from_micros(500);
+
+/// State shared by the accept thread, the session threads and the
+/// handle.
+struct Shared {
+    db: Arc<Database>,
+    config: ServerConfig,
+    stop: AtomicBool,
+    state: Mutex<State>,
 }
 
-/// How the reactor naps between sweeps when nothing progressed but
-/// sessions (or queued sockets) still exist — their sockets are
-/// non-blocking, so they must be polled. With *zero* sessions and an
-/// empty queue the reactor does not poll at all: it parks in a blocking
-/// `accept` until the next arrival (see [`run_reactor`]).
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-/// Per-session read-buffer ceiling. A session executes one frame at a
-/// time, so a client pipelining complete lines faster than they drain
-/// would otherwise grow `rbuf` without bound; past this the reactor
-/// simply stops reading the socket (TCP backpressure, not memory
-/// growth) until dispatched frames make room.
-const RBUF_CAP: usize = 4 * MAX_LINE;
-
-/// A frame dispatched to the worker pool: the session's connection
-/// travels with the request line and comes back in the [`Done`].
-struct Job {
-    token: u64,
-    conn: Connection,
-    line: String,
-}
-
-/// A processed frame on its way back to the reactor. `conn` is `None`
-/// when the frame panicked at the worker: the connection was dropped
-/// during unwinding (rolling back any open transaction through the
-/// normal drop path), and the session closes with `ERR INTERNAL`.
-struct Done {
-    token: u64,
-    conn: Option<Connection>,
-    response: String,
-    close: bool,
-}
-
-/// Shared FIFO between the reactor and the worker pool (std-only: a
-/// mutex-guarded deque with a condvar, closed at shutdown).
-struct JobQueue {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        state.0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        state.1 = true;
-        self.cv.notify_all();
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("job queue poisoned");
-        loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.cv.wait(state).expect("job queue poisoned");
-        }
-    }
-}
-
-/// One admitted socket and its engine session.
-struct Session {
-    stream: TcpStream,
-    /// `None` exactly while a frame (and the connection with it) is at a
-    /// worker.
-    conn: Option<Connection>,
-    /// Database session id, for observability probes.
-    sid: u64,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    busy: bool,
-    /// Socket gone while a frame was in flight; finalized when the
-    /// worker returns the connection.
-    dead: bool,
-    /// Flush `wbuf`, then close cleanly.
-    closing: bool,
-    /// The server already aborted this session's transaction (txn
-    /// timeout); count the close as a disconnect-abort.
-    aborted: bool,
-    last_activity: Instant,
+#[derive(Default)]
+struct State {
+    /// Live sessions by token: a clone of the socket, so shutdown can
+    /// unblock the session thread, and the thread itself.
+    sessions: HashMap<u64, (TcpStream, JoinHandle<()>)>,
+    /// Threads of ended sessions. An ending session thread moves its
+    /// handle here as its last act; the next admission or shutdown joins
+    /// it.
+    ended: Vec<JoinHandle<()>>,
+    /// Sockets waiting for a session slot, oldest first.
+    pending: VecDeque<TcpStream>,
+    next_token: u64,
 }
 
 /// A running wire server. Dropping the handle (or calling
-/// [`ServerHandle::shutdown`]) stops the reactor, joins the workers, and
-/// closes every session — open transactions roll back via the normal
+/// [`ServerHandle::shutdown`]) stops accepting, closes every session and
+/// joins every thread — open transactions roll back via the normal
 /// connection drop path.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    reactor: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -182,20 +99,40 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop the server and wait for the reactor and workers to exit.
+    /// Stop the server and wait for every thread it started to exit.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // An idle reactor is parked in a blocking `accept`; poke it awake
-        // with a loopback connect. Harmless when it is not parked: the
-        // stray socket is accepted after the stop flag is already
-        // visible (and dropped), or never accepted at all.
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::Release);
+        // The accept thread is blocked in `accept`; poke it awake with a
+        // loopback connect. It sees the stop flag and drops the socket.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
+        let _ = acceptor.join();
+        // No session starts once the flag is up: the accept thread is
+        // gone, and promotion runs under the state lock and checks the
+        // flag. So this is every session.
+        let (sessions, ended) = {
+            let mut state = self.shared.state();
+            state.pending.clear();
+            (
+                std::mem::take(&mut state.sessions),
+                std::mem::take(&mut state.ended),
+            )
+        };
+        for (socket, _) in sessions.values() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+        for thread in sessions
+            .into_values()
+            .map(|(_, thread)| thread)
+            .chain(ended)
+        {
+            let _ = thread.join();
         }
     }
 }
@@ -223,441 +160,342 @@ impl Server {
         config: ServerConfig,
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let reactor = std::thread::Builder::new()
-            .name("acidrain-reactor".into())
-            .spawn(move || run_reactor(db, listener, config, stop2))?;
+        let shared = Arc::new(Shared {
+            db,
+            config,
+            stop: AtomicBool::new(false),
+            state: Mutex::new(State::default()),
+        });
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("acidrain-accept".into())
+                .spawn(move || shared.accept_loop(listener))?
+        };
         Ok(ServerHandle {
             addr,
-            stop,
-            reactor: Some(reactor),
+            shared,
+            acceptor: Some(acceptor),
         })
     }
 }
 
-fn run_reactor(
-    db: Arc<Database>,
-    listener: TcpListener,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
-) {
-    let obs = db.obs().clone();
-    let jobs = Arc::new(JobQueue::new());
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
-    let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|i| {
-            let jobs = Arc::clone(&jobs);
-            let done_tx = done_tx.clone();
-            std::thread::Builder::new()
-                .name(format!("acidrain-worker-{i}"))
-                .spawn(move || {
-                    while let Some(job) = jobs.pop() {
-                        let token = job.token;
-                        // An engine panic must not kill the worker or
-                        // swallow the Done — the reactor would hold the
-                        // session busy forever, pinning its engine slot.
-                        let done =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(job)))
-                                .unwrap_or_else(|_| Done {
-                                    token,
-                                    conn: None,
-                                    response: "ERR INTERNAL statement execution panicked\n".into(),
-                                    close: true,
-                                });
-                        if done_tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn worker")
-        })
-        .collect();
-    drop(done_tx);
+impl Shared {
+    /// The admission state. Every update to it is a single insert or
+    /// removal that leaves it valid, so a poisoned lock is still usable —
+    /// and shutdown, which runs in `Drop`, must not panic on one.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    let mut pending: VecDeque<TcpStream> = VecDeque::new();
-    let mut next_token: u64 = 0;
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
 
-    while !stop.load(Ordering::Acquire) {
-        let mut progressed = false;
+    fn has_room(&self, state: &State) -> bool {
+        self.config.max_sessions == 0 || state.sessions.len() < self.config.max_sessions
+    }
 
-        // Accept new arrivals.
-        loop {
+    /// Block in `accept` and route each arrival through admission. The
+    /// listener polls, retrying promotion on a nap, only while sockets
+    /// wait in the admission queue: a slot the engine refused may be
+    /// freed by another front end, which signals nothing here, and a
+    /// refusal met by an exiting session thread cannot wake a blocked
+    /// `accept`.
+    fn accept_loop(self: Arc<Self>, listener: TcpListener) {
+        let obs = self.db.obs().clone();
+        let mut polling = false;
+        while !self.stopping() {
+            let queued = !self.state().pending.is_empty();
+            if queued != polling && listener.set_nonblocking(queued).is_ok() {
+                polling = queued;
+            }
             match listener.accept() {
-                Ok((stream, _)) => {
-                    progressed = true;
-                    enroll(
-                        &db,
-                        &obs,
-                        &config,
-                        stream,
-                        &mut sessions,
-                        &mut pending,
-                        &mut next_token,
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-
-        // Promote queued sockets into freed slots. An engine-level
-        // refusal ends promotion for this sweep: the engine ceiling
-        // cannot clear until some existing session (here or in another
-        // front end) releases its slot, so retrying in the same sweep
-        // would busy-spin the reactor and starve the very sessions
-        // whose completion frees a slot.
-        while !pending.is_empty()
-            && (config.max_sessions == 0 || sessions.len() < config.max_sessions)
-        {
-            let stream = pending.pop_front().expect("pending non-empty");
-            match admit(&db, stream, &mut sessions, &mut next_token) {
-                Ok(()) => progressed = true,
-                Err(stream) => {
-                    // Back to the head: it keeps its place in line, and
-                    // the queue stays within `queue_capacity` because
-                    // the socket was just popped from it.
-                    pending.push_front(stream);
-                    break;
+                Ok((stream, _)) if !self.stopping() => self.enroll(stream),
+                Ok(_) => {} // the shutdown wake, or an arrival racing it
+                Err(e) => {
+                    // A retry nap, or a pause after an accept error
+                    // (e.g. out of descriptors) instead of a busy spin.
+                    obs.net_timed_wait();
+                    std::thread::sleep(PROMOTE_RETRY);
+                    if e.kind() == ErrorKind::WouldBlock {
+                        self.promote(&mut self.state());
+                    }
                 }
             }
         }
-
-        // Collect finished frames from the workers.
-        while let Ok(done) = done_rx.try_recv() {
-            progressed = true;
-            let Some(session) = sessions.get_mut(&done.token) else {
-                continue;
-            };
-            if session.dead {
-                let in_txn = done.conn.as_ref().is_some_and(Connection::in_transaction);
-                drop(done.conn);
-                obs.net_session_closed(session.sid, in_txn);
-                sessions.remove(&done.token);
-                continue;
-            }
-            session.busy = false;
-            session.conn = done.conn;
-            session.wbuf.extend_from_slice(done.response.as_bytes());
-            if done.close {
-                session.closing = true;
-            }
-            session.last_activity = Instant::now();
-        }
-
-        // Per-session I/O, framing, dispatch, timeouts.
-        let tokens: Vec<u64> = sessions.keys().copied().collect();
-        let mut to_remove: Vec<u64> = Vec::new();
-        for token in tokens {
-            let session = sessions.get_mut(&token).expect("token just listed");
-            if session.dead {
-                continue;
-            }
-            if sweep_session(session, &jobs, token, &config, &mut progressed) {
-                // Socket is gone or the session finished closing.
-                if session.busy {
-                    session.dead = true; // finalize when the worker returns
-                } else {
-                    let in_txn = session
-                        .conn
-                        .as_ref()
-                        .is_some_and(Connection::in_transaction)
-                        || session.aborted;
-                    obs.net_session_closed(session.sid, in_txn);
-                    to_remove.push(token);
-                }
-            }
-        }
-        for token in to_remove {
-            sessions.remove(&token);
-        }
-
-        if !progressed {
-            if sessions.is_empty() && pending.is_empty() {
-                // Zero sessions and an empty queue: connections travel
-                // with their sessions, so no frame can be at a worker, no
-                // `Done` can arrive, and no timeout can fire. The only
-                // possible next event is a new arrival — park in a
-                // blocking `accept` instead of polling.
-                // `ServerHandle::stop_and_join` wakes a parked reactor
-                // with a loopback connect after raising the stop flag.
-                obs.net_reactor_parked();
-                let Some(stream) = park_for_arrival(&listener) else {
-                    continue;
-                };
-                if stop.load(Ordering::Acquire) {
-                    break; // the arrival was (or raced with) the shutdown wake
-                }
-                enroll(
-                    &db,
-                    &obs,
-                    &config,
-                    stream,
-                    &mut sessions,
-                    &mut pending,
-                    &mut next_token,
-                );
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
-        }
     }
 
-    // Shutdown: close the queue, let workers drain, drop every session
-    // (open transactions roll back on connection drop).
-    jobs.close();
-    for handle in workers {
-        let _ = handle.join();
-    }
-    while let Ok(done) = done_rx.try_recv() {
-        drop(done.conn);
-    }
-    for (_, session) in sessions.drain() {
-        let in_txn = session
-            .conn
-            .as_ref()
-            .is_some_and(Connection::in_transaction);
-        obs.net_session_closed(session.sid, in_txn);
-    }
-}
-
-/// Block until the next arrival (or a socket-level error) with the
-/// listener temporarily switched to blocking mode. `None` means no
-/// socket was obtained; the caller re-checks the stop flag and sweeps
-/// again either way.
-fn park_for_arrival(listener: &TcpListener) -> Option<TcpStream> {
-    if listener.set_nonblocking(false).is_err() {
-        // Can't switch modes — fall back to one polling nap.
-        std::thread::sleep(IDLE_SLEEP);
-        return None;
-    }
-    let accepted = listener.accept();
-    let _ = listener.set_nonblocking(true);
-    accepted.ok().map(|(stream, _)| stream)
-}
-
-/// Route one accepted socket through admission control: into a session
-/// slot, the bounded wait queue, or an outright `SERVER_BUSY` refusal. A
-/// socket is refused a slot either by the server ceiling (checked here)
-/// or by the engine's own [`Database::set_max_sessions`] ceiling inside
-/// [`admit`]; both overflow into the same queue-or-reject path. Both
-/// accept sites — the non-blocking sweep and the parked blocking accept
-/// — go through here, so the admission bounds hold no matter how the
-/// socket arrived.
-fn enroll(
-    db: &Arc<Database>,
-    obs: &Obs,
-    config: &ServerConfig,
-    stream: TcpStream,
-    sessions: &mut HashMap<u64, Session>,
-    pending: &mut VecDeque<TcpStream>,
-    next_token: &mut u64,
-) {
-    let overflow = if config.max_sessions == 0 || sessions.len() < config.max_sessions {
-        admit(db, stream, sessions, next_token).err()
-    } else {
-        Some(stream)
-    };
-    if let Some(stream) = overflow {
-        if pending.len() < config.queue_capacity {
-            pending.push_back(stream);
-            obs.net_queued(pending.len() as u64);
+    /// Route one accepted socket through admission control: into a
+    /// session, the bounded wait queue, or an outright `SERVER_BUSY`
+    /// refusal. A socket is refused a session either by the server
+    /// ceiling (checked here) or by the engine's own
+    /// [`Database::set_max_sessions`] ceiling inside [`Shared::admit`];
+    /// both overflow into the same queue-or-reject path.
+    fn enroll(self: &Arc<Self>, stream: TcpStream) {
+        let mut state = self.state();
+        let overflow = if self.has_room(&state) {
+            self.admit(&mut state, stream).err()
+        } else {
+            Some(stream)
+        };
+        let Some(stream) = overflow else {
+            return;
+        };
+        let obs = self.db.obs();
+        if state.pending.len() < self.config.queue_capacity {
+            state.pending.push_back(stream);
+            obs.net_queued(state.pending.len() as u64);
         } else {
             reject(stream);
             obs.net_rejected();
         }
     }
-}
 
-/// Admit one socket: reserve a database session, send the greeting, and
-/// register the session. When the engine itself is at its ceiling
-/// (other front ends or in-process sessions hold the
-/// [`Database::set_max_sessions`] slots), the socket is handed back so
-/// the caller can park or refuse it under the configured bounds.
-fn admit(
-    db: &Arc<Database>,
-    stream: TcpStream,
-    sessions: &mut HashMap<u64, Session>,
-    next_token: &mut u64,
-) -> Result<(), TcpStream> {
-    let conn = match db.try_connect() {
-        Ok(conn) => conn,
-        Err(_) => return Err(stream),
-    };
-    if stream.set_nonblocking(true).is_err() {
-        return Ok(()); // connection drops; the slot frees immediately
+    /// Admit queued sockets into free slots, oldest first. An engine
+    /// refusal puts the socket back at the head — it keeps its place in
+    /// line — and ends the pass.
+    fn promote(self: &Arc<Self>, state: &mut State) {
+        while self.has_room(state) && !self.stopping() {
+            let Some(stream) = state.pending.pop_front() else {
+                return;
+            };
+            if let Err(stream) = self.admit(state, stream) {
+                state.pending.push_front(stream);
+                return;
+            }
+        }
     }
-    let _ = stream.set_nodelay(true);
-    let sid = conn.session_id();
-    db.obs().net_session_opened(sid);
-    let greeting = format!("OK acidrain {} {}\n", sid, isolation_code(conn.isolation()));
-    *next_token += 1;
-    sessions.insert(
-        *next_token,
-        Session {
-            stream,
+
+    /// Reserve a database session for `stream` and start its thread. The
+    /// socket is handed back when the engine itself is at its ceiling
+    /// (other front ends or in-process sessions hold the
+    /// [`Database::set_max_sessions`] slots), so the caller can queue or
+    /// refuse it under the configured bounds.
+    fn admit(self: &Arc<Self>, state: &mut State, stream: TcpStream) -> Result<(), TcpStream> {
+        let conn = match self.db.try_connect() {
+            Ok(conn) => conn,
+            Err(_) => return Err(stream),
+        };
+        // On any failure below the socket and connection drop here; the
+        // slot frees immediately.
+        let Ok(socket) = stream.try_clone() else {
+            return Ok(());
+        };
+        for thread in state.ended.drain(..) {
+            // Already past its last use of the state; this returns at once.
+            let _ = thread.join();
+        }
+        state.next_token += 1;
+        let token = state.next_token;
+        let shared = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name(format!("acidrain-session-{token}"))
+            .spawn(move || shared.serve(token, stream, conn));
+        if let Ok(thread) = spawned {
+            // Inserted before the state lock is released, so the thread's
+            // own removal at exit always finds it.
+            state.sessions.insert(token, (socket, thread));
+        }
+        Ok(())
+    }
+
+    /// A session thread: serve frames until the session ends, drop the
+    /// connection (rolling back any open transaction), then hand the
+    /// freed slot to the head of the admission queue.
+    fn serve(self: Arc<Self>, token: u64, stream: TcpStream, conn: Connection) {
+        let obs = conn.obs().clone();
+        let sid = conn.session_id();
+        obs.net_session_opened(sid);
+        // Accepted sockets inherit the listener's polling mode on some
+        // platforms; a session reads blocking.
+        let _ = stream.set_nonblocking(false);
+        let _ = stream.set_nodelay(true);
+        let greeting = format!("OK acidrain {} {}\n", sid, isolation_code(conn.isolation()));
+        let mut session = Session {
+            reader: BufReader::new(stream),
             conn: Some(conn),
-            sid,
-            rbuf: Vec::new(),
-            wbuf: greeting.into_bytes(),
-            busy: false,
-            dead: false,
-            closing: false,
             aborted: false,
-            last_activity: Instant::now(),
-        },
-    );
-    Ok(())
+            deadline: None,
+        };
+        session.run(&self.config, &obs, &greeting);
+        let in_txn = session.aborted
+            || session
+                .conn
+                .as_ref()
+                .is_some_and(Connection::in_transaction);
+        drop(session);
+        obs.net_session_closed(sid, in_txn);
+        let mut state = self.state();
+        let entry = state.sessions.remove(&token);
+        self.promote(&mut state);
+        // After promotion, which joins the `ended` threads: a thread must
+        // not join itself.
+        state.ended.extend(entry.map(|(_, thread)| thread));
+    }
 }
 
 /// Refuse a socket outright (best effort — the client may already be
 /// gone).
 fn reject(stream: TcpStream) {
     let _ = stream.set_nonblocking(true);
-    let mut stream = stream;
-    let _ = stream.write_all(b"ERR SERVER_BUSY admission queue full\n");
+    let _ = (&stream).write_all(b"ERR SERVER_BUSY admission queue full\n");
 }
 
-/// One reactor pass over a live session. Returns `true` when the
-/// session should be torn down (socket error/EOF, or clean close
-/// completed).
-fn sweep_session(
-    session: &mut Session,
-    jobs: &Arc<JobQueue>,
-    token: u64,
-    config: &ServerConfig,
-    progressed: &mut bool,
-) -> bool {
-    // A closing session's inbound bytes are drained and discarded: left
-    // unread, they would turn the eventual close into an RST that can
-    // destroy the error reply still in flight to the client.
-    if session.closing {
+/// One admitted session, owned by its thread.
+struct Session {
+    reader: BufReader<TcpStream>,
+    /// `None` once the server dropped the connection itself (txn
+    /// timeout, or a panic during execution); the drop rolled back any
+    /// open transaction.
+    conn: Option<Connection>,
+    /// The server aborted this session's transaction (txn timeout);
+    /// count the close as a disconnect-abort.
+    aborted: bool,
+    /// The read/write timeout currently armed on the socket.
+    deadline: Option<Duration>,
+}
+
+/// What one frame read leads to.
+enum Step {
+    /// Send this and read the next frame.
+    Reply(String),
+    /// Send this, then close the session cleanly.
+    Close(String),
+    /// The socket is gone (EOF, reset, shutdown).
+    Gone,
+}
+
+impl Session {
+    fn run(&mut self, config: &ServerConfig, obs: &Obs, greeting: &str) {
+        let mut line = Vec::new();
+        let mut out = greeting.to_string();
+        loop {
+            if self.reader.get_ref().write_all(out.as_bytes()).is_err() {
+                return;
+            }
+            out = match self.step(config, obs, &mut line) {
+                Step::Reply(reply) => reply,
+                Step::Close(reply) => {
+                    let _ = self.reader.get_ref().write_all(reply.as_bytes());
+                    self.drain();
+                    return;
+                }
+                Step::Gone => return,
+            };
+        }
+    }
+
+    /// Read one frame — bounded by `MAX_LINE`, under the timeout that
+    /// fits the session's transaction state — and execute it.
+    fn step(&mut self, config: &ServerConfig, obs: &Obs, line: &mut Vec<u8>) -> Step {
+        let in_txn = self.conn.as_ref().is_some_and(Connection::in_transaction);
+        let deadline = if in_txn {
+            config.txn_timeout
+        } else {
+            config.idle_timeout
+        };
+        if !self.arm(deadline, obs) {
+            return Step::Gone;
+        }
+        line.clear();
+        let limit = MAX_LINE as u64 + 1;
+        match (&mut self.reader).take(limit).read_until(b'\n', line) {
+            Ok(0) => Step::Gone,
+            Ok(_) if line.last() == Some(&b'\n') => {
+                line.pop();
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+                match std::str::from_utf8(line) {
+                    Ok(text) => self.execute(obs, text),
+                    Err(_) => Step::Close("ERR PROTOCOL frame is not UTF-8\n".into()),
+                }
+            }
+            Ok(n) if n as u64 == limit => {
+                Step::Close("ERR PROTOCOL line exceeds MAX_LINE\n".into())
+            }
+            Ok(_) => Step::Gone, // EOF mid-line
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if !in_txn {
+                    return Step::Close(String::new());
+                }
+                // Abort through the normal rollback path: dropping the
+                // connection is exactly what a vanished client gets. The
+                // client is told why before the close.
+                self.conn = None;
+                self.aborted = true;
+                Step::Close("ERR TXN_TIMEOUT in-transaction idle limit\n".into())
+            }
+            Err(_) => Step::Gone,
+        }
+    }
+
+    /// Arm `deadline` as the socket's read and write timeout (a client
+    /// that stops reading replies is as stalled as one that stops
+    /// sending). `false` when the socket refuses, i.e. it is dead.
+    fn arm(&mut self, deadline: Option<Duration>, obs: &Obs) -> bool {
+        if deadline != self.deadline {
+            // The OS rejects a zero timeout; the shortest one stands in.
+            let timeout = deadline.map(|t| t.max(Duration::from_micros(1)));
+            let socket = self.reader.get_ref();
+            if socket.set_read_timeout(timeout).is_err()
+                || socket.set_write_timeout(timeout).is_err()
+            {
+                return false;
+            }
+            self.deadline = deadline;
+        }
+        if deadline.is_some() {
+            obs.net_timed_wait();
+        }
+        true
+    }
+
+    /// Execute one frame. An engine panic must not leak the session: the
+    /// connection is dropped (rolling back through the normal drop path)
+    /// and the session closes with `ERR INTERNAL`.
+    fn execute(&mut self, obs: &Obs, text: &str) -> Step {
+        let conn = self
+            .conn
+            .as_mut()
+            .expect("a reading session holds its conn");
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(conn, obs, text))) {
+            Ok((reply, false)) => Step::Reply(reply),
+            Ok((reply, true)) => Step::Close(reply),
+            Err(_) => {
+                self.conn = None;
+                Step::Close("ERR INTERNAL statement execution panicked\n".into())
+            }
+        }
+    }
+
+    /// Discard the inbound bytes already received before closing: left
+    /// unread, they would turn the close into an RST that can destroy
+    /// the final reply still in flight to the client.
+    fn drain(&mut self) {
+        let mut socket = self.reader.get_ref();
+        if socket.set_nonblocking(true).is_err() {
+            return;
+        }
         let mut buf = [0u8; 4096];
         loop {
-            match session.stream.read(&mut buf) {
-                Ok(0) => break, // EOF; the flush below still runs
+            match socket.read(&mut buf) {
+                Ok(0) => return,
                 Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock or a dead socket
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return, // WouldBlock or a dead socket
             }
         }
     }
-
-    // Read whatever the socket has, up to the buffer ceiling.
-    if !session.closing {
-        let mut buf = [0u8; 4096];
-        while session.rbuf.len() < RBUF_CAP {
-            match session.stream.read(&mut buf) {
-                Ok(0) => return true, // EOF: client went away
-                Ok(n) => {
-                    *progressed = true;
-                    session.rbuf.extend_from_slice(&buf[..n]);
-                    session.last_activity = Instant::now();
-                    // The unterminated tail is the line under assembly;
-                    // judge MAX_LINE against it alone so an over-long
-                    // line is caught even behind complete pipelined
-                    // lines waiting their turn.
-                    let tail = match session.rbuf.iter().rposition(|&b| b == b'\n') {
-                        Some(pos) => session.rbuf.len() - pos - 1,
-                        None => session.rbuf.len(),
-                    };
-                    if tail > MAX_LINE {
-                        session
-                            .wbuf
-                            .extend_from_slice(b"ERR PROTOCOL line exceeds MAX_LINE\n");
-                        session.closing = true;
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
-        }
-    }
-
-    // Dispatch the next complete frame (one at a time per session).
-    if !session.busy && !session.closing && session.conn.is_some() {
-        if let Some(pos) = session.rbuf.iter().position(|&b| b == b'\n') {
-            let mut line: Vec<u8> = session.rbuf.drain(..=pos).collect();
-            line.pop(); // '\n'
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            match String::from_utf8(line) {
-                Ok(line) => {
-                    let conn = session.conn.take().expect("idle session holds conn");
-                    session.busy = true;
-                    jobs.push(Job { token, conn, line });
-                    *progressed = true;
-                }
-                Err(_) => {
-                    session
-                        .wbuf
-                        .extend_from_slice(b"ERR PROTOCOL frame is not UTF-8\n");
-                    session.closing = true;
-                }
-            }
-        }
-    }
-
-    // Timeouts (only judged while the session is quiescent here).
-    if !session.busy && !session.closing {
-        let idle_for = session.last_activity.elapsed();
-        let in_txn = session
-            .conn
-            .as_ref()
-            .is_some_and(Connection::in_transaction);
-        if in_txn {
-            if config.txn_timeout.is_some_and(|t| idle_for >= t) {
-                // Abort through the normal rollback path: dropping the
-                // connection state is exactly what a vanished client
-                // gets. The client is told why before the close.
-                session.conn = None; // drop rolls the transaction back
-                session.aborted = true;
-                session
-                    .wbuf
-                    .extend_from_slice(b"ERR TXN_TIMEOUT in-transaction idle limit\n");
-                session.closing = true;
-            }
-        } else if config.idle_timeout.is_some_and(|t| idle_for >= t) {
-            session.closing = true;
-        }
-    }
-
-    // Flush pending output.
-    if !session.wbuf.is_empty() {
-        match session.stream.write(&session.wbuf) {
-            Ok(0) => return true,
-            Ok(n) => {
-                session.wbuf.drain(..n);
-                *progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return true,
-        }
-    }
-
-    session.closing && session.wbuf.is_empty()
 }
 
-/// Execute one frame on a worker thread. Blocking is confined here: a
-/// statement may park on the lock table for up to the database's
-/// lock-wait timeout, but the reactor keeps serving every other session
-/// meanwhile.
-fn process(job: Job) -> Done {
-    let Job {
-        token,
-        mut conn,
-        line,
-    } = job;
-    let obs = conn.obs().clone();
+/// Execute one frame against the session's connection; returns the
+/// reply and whether the session closes after it.
+fn process(conn: &mut Connection, obs: &Obs, line: &str) -> (String, bool) {
     let sid = conn.session_id();
-    let (response, close) = match Request::parse(&line) {
+    match Request::parse(line) {
         Err(msg) => {
             obs.net_protocol_error(sid);
             (format!("ERR PROTOCOL {}\n", escape(&msg)), true)
@@ -685,11 +523,5 @@ fn process(job: Job) -> Done {
                 Request::Quit => ("OK bye\n".to_string(), true),
             }
         }
-    };
-    Done {
-        token,
-        conn: Some(conn),
-        response,
-        close,
     }
 }

@@ -88,7 +88,6 @@ fn loadgen_drives_the_corpus_cleanly() {
             queue_capacity: 64,
             idle_timeout: Some(Duration::from_secs(30)),
             txn_timeout: Some(Duration::from_secs(10)),
-            workers: 4,
         },
     )
     .expect("start server");

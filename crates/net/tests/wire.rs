@@ -361,7 +361,7 @@ fn disconnect_mid_txn_rolls_back_at_every_level() {
         );
         assert_eq!(db.locked_resources(), 0, "{level:?}");
 
-        // Wait for the reactor to finalize the vanished session, then
+        // Wait for the server to finalize the vanished session, then
         // check the disconnect was counted as an abort.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -510,7 +510,7 @@ fn engine_ceiling_parks_arrivals_without_starving_service() {
 
     drop(first); // engine slot frees; the parked socket is promoted
     drop(queued.join().expect("queued socket never admitted"));
-    handle.shutdown(); // and shutdown must not hang on the reactor
+    handle.shutdown(); // and shutdown must not hang on the accept thread
 }
 
 /// With no queue configured, an engine-level refusal is answered
@@ -547,8 +547,9 @@ fn pipelined_flood_is_bounded_and_fully_answered() {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap(); // greeting
 
-    // 60k pings ≈ 300 KiB of complete lines — past RBUF_CAP, so the
-    // writer only finishes because the reader below drains responses.
+    // 60k pings ≈ 300 KiB of complete lines — more than the socket
+    // buffers hold, so the writer only finishes because the reader below
+    // drains responses.
     const N: usize = 60_000;
     let writer = std::thread::spawn(move || {
         let mut stream = stream;
@@ -640,52 +641,100 @@ fn greeting_and_hello_wire_format() {
     handle.shutdown();
 }
 
-/// With zero sessions and an empty admission queue the reactor parks in
-/// a blocking `accept` instead of cycling its idle nap: the park counter
-/// rises once and then stays flat while idle, a client arriving at the
-/// parked reactor is served normally, and shutdown wakes it promptly.
-/// Regression test for the reactor busy-polling at `IDLE_SLEEP` forever
-/// with nothing to do.
+/// With no timeouts and no admission queue configured, an idle server
+/// waits on nothing but sockets: the timed-wait counter stays at zero
+/// with no sessions and with an idle session open, a late ping is still
+/// answered, and shutdown from idle is prompt. Regression test for the
+/// server polling its sessions every 500 µs while nothing happened.
 #[test]
-fn idle_reactor_parks_instead_of_polling() {
+fn idle_server_makes_no_timed_wakeups() {
     let db = accounts_db(IsolationLevel::ReadCommitted);
     let handle = start(&db, ServerConfig::default());
-    let parks = |db: &Arc<Database>| db.metrics_report().counters.net_reactor_parks;
+    let timed_waits = |db: &Arc<Database>| db.metrics_report().counters.net_timed_waits;
 
-    // No sessions yet: the reactor parks as soon as its first sweep
-    // finds nothing to do.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while parks(&db) == 0 {
-        assert!(Instant::now() < deadline, "reactor never parked");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let parked = parks(&db);
     std::thread::sleep(Duration::from_millis(150));
     assert_eq!(
-        parks(&db),
-        parked,
-        "a parked reactor must block, not cycle park/wake while idle"
+        timed_waits(&db),
+        0,
+        "no sessions: nothing may wait on a timer"
     );
 
-    // A client arriving at the parked reactor is admitted and served.
     let mut remote = RemoteConn::connect(handle.addr()).unwrap();
     remote.ping().unwrap();
-    drop(remote);
+    let before = timed_waits(&db);
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(
+        timed_waits(&db),
+        before,
+        "an idle session must block on its socket, not wake on a timer"
+    );
+    assert_eq!(before, 0, "no timeouts configured: no timed read");
 
-    // Once its session is gone the reactor parks again...
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while parks(&db) <= parked {
-        assert!(Instant::now() < deadline, "reactor never re-parked");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // The session is still served after sitting idle.
+    remote.ping().unwrap();
 
-    // ...and shutdown completes promptly from the parked state.
+    // Shutdown completes promptly with the idle session still open.
     let begun = Instant::now();
     handle.shutdown();
     assert!(
-        begun.elapsed() < Duration::from_secs(5),
-        "shutdown hung on a parked reactor"
+        begun.elapsed() < Duration::from_secs(2),
+        "shutdown hung on an idle server: {:?}",
+        begun.elapsed()
     );
+    assert_eq!(remote.ping().unwrap_err(), DbError::ConnectionDropped);
+}
+
+/// A lock holder's `COMMIT` is answered while more wire sessions than
+/// the old fixed worker pool had are parked on its row lock, and every
+/// waiter then succeeds. Regression test for a worker pool of four: four
+/// parked waiters occupied every worker, so the holder's `COMMIT` sat in
+/// the job queue until the waiters hit the lock-wait timeout.
+#[test]
+fn lock_holder_commit_not_starved_by_waiters() {
+    const WAITERS: usize = 6;
+    let db = accounts_db(IsolationLevel::ReadCommitted);
+    let handle = start(&db, ServerConfig::default());
+
+    let mut holder = RemoteConn::connect(handle.addr()).unwrap();
+    holder.exec("BEGIN").unwrap();
+    holder
+        .exec("UPDATE accounts SET balance = balance + 1 WHERE id = 1")
+        .unwrap();
+
+    let addr = handle.addr();
+    let waiters: Vec<_> = (0..WAITERS)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut conn = RemoteConn::connect(addr).unwrap();
+                conn.exec("UPDATE accounts SET balance = balance + 1 WHERE id = 1")
+            })
+        })
+        .collect();
+    // Let the waiters park on the row lock (as many as the server lets
+    // reach the engine).
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while db.metrics_report().lock_waiters < WAITERS as i64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let begun = Instant::now();
+    holder.exec("COMMIT").unwrap();
+    let took = begun.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "COMMIT took {took:?}; the lock-wait timeout is 10 s"
+    );
+    for waiter in waiters {
+        let result = waiter.join().unwrap();
+        assert!(result.is_ok(), "waiter failed: {result:?}");
+    }
+    assert_eq!(
+        db.connect()
+            .query_i64("SELECT balance FROM accounts WHERE id = 1")
+            .unwrap(),
+        100 + 1 + WAITERS as i64
+    );
+    handle.shutdown();
 }
 
 /// A wire session that vanishes mid-transaction at a snapshot-pinning

@@ -102,7 +102,7 @@ struct Shard {
     net_disconnect_aborts: AtomicU64,
     net_frames: AtomicU64,
     net_protocol_errors: AtomicU64,
-    net_reactor_parks: AtomicU64,
+    net_timed_waits: AtomicU64,
     repair_candidates: AtomicU64,
     repair_closures: AtomicU64,
     repair_replays: AtomicU64,
@@ -652,17 +652,17 @@ impl Obs {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The reactor parked in a blocking `accept`: with no sessions and no
-    /// queued sockets the only possible event is a new arrival, so it
-    /// stops polling entirely. Fired once per park, just before blocking;
-    /// the reactor is engine-wide, so the counter lands on shard 0.
+    /// A wire-server thread began a wait that ends on a timer: a session
+    /// read armed with the idle or in-transaction timeout, or an
+    /// admission-retry nap. A server with no timeouts and an empty
+    /// admission queue makes none; the counter lands on shard 0.
     #[inline]
-    pub fn net_reactor_parked(&self) {
+    pub fn net_timed_wait(&self) {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
         self.shard(0)
-            .net_reactor_parks
+            .net_timed_waits
             .fetch_add(1, Ordering::Relaxed);
     }
 
@@ -767,7 +767,7 @@ impl Obs {
             c.net_disconnect_aborts += shard.net_disconnect_aborts.load(Ordering::Relaxed);
             c.net_frames += shard.net_frames.load(Ordering::Relaxed);
             c.net_protocol_errors += shard.net_protocol_errors.load(Ordering::Relaxed);
-            c.net_reactor_parks += shard.net_reactor_parks.load(Ordering::Relaxed);
+            c.net_timed_waits += shard.net_timed_waits.load(Ordering::Relaxed);
             c.repair_candidates += shard.repair_candidates.load(Ordering::Relaxed);
             c.repair_closures += shard.repair_closures.load(Ordering::Relaxed);
             c.repair_replays += shard.repair_replays.load(Ordering::Relaxed);
@@ -843,7 +843,7 @@ mod tests {
         obs.net_queued(4);
         obs.net_frame(1);
         obs.net_protocol_error(1);
-        obs.net_reactor_parked();
+        obs.net_timed_wait();
         obs.repair_candidates(7);
         obs.repair_closures(3);
         obs.repair_replay();
@@ -973,8 +973,8 @@ mod tests {
         obs.net_protocol_error(2);
         obs.net_queued(3);
         obs.net_rejected();
-        obs.net_reactor_parked();
-        obs.net_reactor_parked();
+        obs.net_timed_wait();
+        obs.net_timed_wait();
         let mid = obs.report();
         assert_eq!(mid.net_sessions, 2);
         obs.net_session_closed(1, false);
@@ -988,14 +988,14 @@ mod tests {
         assert_eq!(report.counters.net_queued, 1);
         assert_eq!(report.counters.net_rejected, 1);
         assert_eq!(report.counters.net_disconnect_aborts, 1);
-        assert_eq!(report.counters.net_reactor_parks, 2);
+        assert_eq!(report.counters.net_timed_waits, 2);
         assert_eq!(report.net_queue_depth.count(), 1);
         assert_eq!(report.net_queue_depth.max_nanos, 3, "depth of 3 waiting");
         let json = report.to_json();
         assert!(json.contains("\"net_sessions_peak\": 2"));
         assert!(json.contains("\"net_queue_depth\":"));
         assert!(json.contains("\"net_disconnect_aborts\": 1"));
-        assert!(json.contains("\"net_reactor_parks\": 2"));
+        assert!(json.contains("\"net_timed_waits\": 2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

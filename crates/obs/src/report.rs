@@ -69,9 +69,10 @@ pub struct Counters {
     /// Malformed frames / protocol violations the server answered with
     /// `ERR PROTOCOL`.
     pub net_protocol_errors: u64,
-    /// Times the reactor parked in a blocking `accept` because it had no
-    /// sessions and no queued sockets (idle without polling).
-    pub net_reactor_parks: u64,
+    /// Waits the wire server began that end on a timer: session reads
+    /// armed with a timeout, and admission-retry naps while sockets are
+    /// queued. Zero for an idle server with neither configured.
+    pub net_timed_waits: u64,
     /// Candidate fix sets the repair adviser evaluated statically.
     pub repair_candidates: u64,
     /// Candidate fix sets that closed their finding without opening a
@@ -79,6 +80,40 @@ pub struct Counters {
     pub repair_closures: u64,
     /// Repaired witness plans the adviser replayed against the engine.
     pub repair_replays: u64,
+}
+
+impl std::ops::AddAssign for Counters {
+    fn add_assign(&mut self, other: Counters) {
+        self.lock_waits += other.lock_waits;
+        self.lock_timeouts += other.lock_timeouts;
+        self.deadlocks += other.deadlocks;
+        self.injected_faults += other.injected_faults;
+        self.statement_retries += other.statement_retries;
+        self.txn_replays += other.txn_replays;
+        self.retries_gave_up += other.retries_gave_up;
+        self.statements_ok += other.statements_ok;
+        self.statements_failed += other.statements_failed;
+        self.statements_aborted += other.statements_aborted;
+        self.blocked_attempts += other.blocked_attempts;
+        self.log_appends += other.log_appends;
+        self.index_hits += other.index_hits;
+        self.index_fallbacks += other.index_fallbacks;
+        self.wal_appends += other.wal_appends;
+        self.wal_fsyncs += other.wal_fsyncs;
+        self.wal_bytes += other.wal_bytes;
+        self.gc_runs += other.gc_runs;
+        self.gc_reclaimed += other.gc_reclaimed;
+        self.net_accepted += other.net_accepted;
+        self.net_rejected += other.net_rejected;
+        self.net_queued += other.net_queued;
+        self.net_disconnect_aborts += other.net_disconnect_aborts;
+        self.net_frames += other.net_frames;
+        self.net_protocol_errors += other.net_protocol_errors;
+        self.net_timed_waits += other.net_timed_waits;
+        self.repair_candidates += other.repair_candidates;
+        self.repair_closures += other.repair_closures;
+        self.repair_replays += other.repair_replays;
+    }
 }
 
 /// Commit/abort counts for one isolation level.
@@ -179,6 +214,45 @@ impl MetricsReport {
             || self.counters.blocked_attempts > 0
     }
 
+    /// Fold in the report of another registry, e.g. one database per
+    /// isolation level reported as one run: counters and histograms add,
+    /// per-level rows add by level name, and gauges keep the larger
+    /// value.
+    pub fn merge(&mut self, other: &MetricsReport) {
+        self.enabled |= other.enabled;
+        for (mine, theirs) in [
+            (&mut self.statements, &other.statements),
+            (&mut self.transactions, &other.transactions),
+            (&mut self.lock_waits, &other.lock_waits),
+            (&mut self.latches, &other.latches),
+            (&mut self.tasks, &other.tasks),
+            (&mut self.backoff, &other.backoff),
+            (&mut self.group_commit, &other.group_commit),
+            (&mut self.net_queue_depth, &other.net_queue_depth),
+        ] {
+            mine.merge(theirs);
+        }
+        self.counters += other.counters;
+        for row in &other.by_level {
+            match self.by_level.iter_mut().find(|l| l.level == row.level) {
+                Some(mine) => {
+                    mine.commits += row.commits;
+                    mine.aborts += row.aborts;
+                }
+                None => self.by_level.push(row.clone()),
+            }
+        }
+        self.commit_clock = self.commit_clock.max(other.commit_clock);
+        self.lock_waiters = self.lock_waiters.max(other.lock_waiters);
+        self.lock_waiters_peak = self.lock_waiters_peak.max(other.lock_waiters_peak);
+        self.latch_waiters = self.latch_waiters.max(other.latch_waiters);
+        self.latch_waiters_peak = self.latch_waiters_peak.max(other.latch_waiters_peak);
+        self.gc_oldest_snapshot = self.gc_oldest_snapshot.max(other.gc_oldest_snapshot);
+        self.gc_chain_peak = self.gc_chain_peak.max(other.gc_chain_peak);
+        self.net_sessions = self.net_sessions.max(other.net_sessions);
+        self.net_sessions_peak = self.net_sessions_peak.max(other.net_sessions_peak);
+    }
+
     /// Serialize the whole report as a self-contained JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -209,7 +283,7 @@ impl MetricsReport {
              \"wal_fsyncs\": {}, \"wal_bytes\": {}, \"gc_runs\": {}, \
              \"gc_reclaimed\": {}, \"net_accepted\": {}, \"net_rejected\": {}, \
              \"net_queued\": {}, \"net_disconnect_aborts\": {}, \"net_frames\": {}, \
-             \"net_protocol_errors\": {}, \"net_reactor_parks\": {}, \
+             \"net_protocol_errors\": {}, \"net_timed_waits\": {}, \
              \"repair_candidates\": {}, \"repair_closures\": {}, \
              \"repair_replays\": {}}},\n",
             c.lock_waits,
@@ -237,7 +311,7 @@ impl MetricsReport {
             c.net_disconnect_aborts,
             c.net_frames,
             c.net_protocol_errors,
-            c.net_reactor_parks,
+            c.net_timed_waits,
             c.repair_candidates,
             c.repair_closures,
             c.repair_replays,
