@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use acidrain_db::{Database, IsolationLevel, Value, WalConfig};
 use acidrain_harness::scratch_dir;
+use acidrain_obs::json::{document, field, Json};
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
 /// Disjoint hot rows, one per session, so the workload measures the
@@ -133,43 +134,50 @@ fn main() {
             .expect("sample exists")
     };
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"group_commit\",\n");
-    json.push_str(&format!(
-        "  \"commits_per_session\": {COMMITS_PER_SESSION},\n"
-    ));
-    json.push_str(&format!(
-        "  \"simulated_fsync_micros\": {},\n",
-        FSYNC_DELAY.as_micros()
-    ));
-    json.push_str("  \"modes\": {\n");
-    json.push_str("    \"per_commit\": \"one fsync per commit inside the commit critical section — device latency paid serially\",\n");
-    json.push_str("    \"group\": \"flush-leader group commit — one fsync hardens every record appended while the leader ran\"\n");
-    json.push_str("  },\n");
-    json.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"sessions\": {}, \"commits\": {}, \"elapsed_secs\": {:.4}, \
-             \"commits_per_sec\": {:.0}, \"wal_fsyncs\": {}, \"commits_per_fsync\": {:.2}}}{comma}\n",
-            s.mode, s.sessions, s.commits, s.elapsed_secs, s.commits_per_sec, s.wal_fsyncs,
-            s.batch_mean
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup_group_vs_per_commit\": {\n");
-    let lines: Vec<String> = SESSION_COUNTS
-        .iter()
-        .map(|&n| {
-            format!(
-                "    \"{n}\": {:.2}",
-                pick("group", n).commits_per_sec / pick("per_commit", n).commits_per_sec
-            )
-        })
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  }\n}\n");
+    let results = samples.iter().map(|s| {
+        Json::Obj(vec![
+            field("mode", Json::str(s.mode)),
+            field("sessions", Json::Num(s.sessions as u64)),
+            field("commits", Json::Num(s.commits)),
+            field("elapsed_secs", Json::Fixed(s.elapsed_secs, 4)),
+            field("commits_per_sec", Json::Fixed(s.commits_per_sec, 0)),
+            field("wal_fsyncs", Json::Num(s.wal_fsyncs)),
+            field("commits_per_fsync", Json::Fixed(s.batch_mean, 2)),
+        ])
+    });
+    let speedups = SESSION_COUNTS.iter().map(|&n| {
+        let ratio = pick("group", n).commits_per_sec / pick("per_commit", n).commits_per_sec;
+        field(&n.to_string(), Json::Fixed(ratio, 2))
+    });
+    let json = document(
+        "group_commit",
+        vec![
+            field("commits_per_session", Json::Num(COMMITS_PER_SESSION as u64)),
+            field(
+                "simulated_fsync_micros",
+                Json::Num(FSYNC_DELAY.as_micros() as u64),
+            ),
+            field(
+                "modes",
+                Json::Obj(vec![
+                    field(
+                        "per_commit",
+                        Json::str(
+                            "one fsync per commit inside the commit critical section — device latency paid serially",
+                        ),
+                    ),
+                    field(
+                        "group",
+                        Json::str(
+                            "flush-leader group commit — one fsync hardens every record appended while the leader ran",
+                        ),
+                    ),
+                ]),
+            ),
+            field("results", Json::Arr(results.collect())),
+            field("speedup_group_vs_per_commit", Json::Obj(speedups.collect())),
+        ],
+    );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_group_commit.json");
     std::fs::write(path, &json).expect("write BENCH_group_commit.json");

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use acidrain_db::{Database, IsolationLevel, Value};
+use acidrain_obs::json::{document, field, Json};
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
 const ROWS: i64 = 10_000;
@@ -172,32 +173,46 @@ fn main() {
         pick("range_indexed") / pick("full_scan")
     };
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"range_lookup\",\n");
-    json.push_str(&format!("  \"table_rows\": {ROWS},\n"));
-    json.push_str(&format!("  \"between_window\": {WINDOW},\n"));
-    json.push_str(&format!("  \"statements_per_sample\": {STATEMENTS},\n"));
-    json.push_str("  \"modes\": {\n");
-    json.push_str("    \"range_indexed\": \"ordered-index read path (engine default): range conjuncts probe the per-column BTree maps\",\n");
-    json.push_str("    \"full_scan\": \"set_use_range_indexes(false): range predicates walk all slots — the equality-only engine's plan\"\n");
-    json.push_str("  },\n");
-    json.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"mode\": \"{}\", \"elapsed_secs\": {:.4}, \"stmts_per_sec\": {:.0}, \"index_hits\": {}, \"index_fallbacks\": {}}}{comma}\n",
-            s.shape, s.mode, s.elapsed_secs, s.stmts_per_sec, s.index_hits, s.index_fallbacks
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup_vs_full_scan\": {\n");
-    let lines: Vec<String> = SHAPES
+    let results = samples.iter().map(|s| {
+        Json::Obj(vec![
+            field("shape", Json::str(s.shape)),
+            field("mode", Json::str(s.mode)),
+            field("elapsed_secs", Json::Fixed(s.elapsed_secs, 4)),
+            field("stmts_per_sec", Json::Fixed(s.stmts_per_sec, 0)),
+            field("index_hits", Json::Num(s.index_hits)),
+            field("index_fallbacks", Json::Num(s.index_fallbacks)),
+        ])
+    });
+    let speedups = SHAPES
         .iter()
-        .map(|sh| format!("    \"{}\": {:.2}", sh.name, speedup(sh.name)))
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  }\n}\n");
+        .map(|sh| field(sh.name, Json::Fixed(speedup(sh.name), 2)));
+    let json = document(
+        "range_lookup",
+        vec![
+            field("table_rows", Json::Num(ROWS as u64)),
+            field("between_window", Json::Num(WINDOW as u64)),
+            field("statements_per_sample", Json::Num(STATEMENTS as u64)),
+            field(
+                "modes",
+                Json::Obj(vec![
+                    field(
+                        "range_indexed",
+                        Json::str(
+                            "ordered-index read path (engine default): range conjuncts probe the per-column BTree maps",
+                        ),
+                    ),
+                    field(
+                        "full_scan",
+                        Json::str(
+                            "set_use_range_indexes(false): range predicates walk all slots — the equality-only engine's plan",
+                        ),
+                    ),
+                ]),
+            ),
+            field("results", Json::Arr(results.collect())),
+            field("speedup_vs_full_scan", Json::Obj(speedups.collect())),
+        ],
+    );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_range_lookup.json");
     std::fs::write(path, &json).expect("write BENCH_range_lookup.json");

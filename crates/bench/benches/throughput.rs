@@ -33,6 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use acidrain_db::{Database, IsolationLevel, MetricsReport, Value};
+use acidrain_obs::json::{document, field, Json};
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
 
 const PRODUCTS: i64 = 64;
@@ -292,69 +293,41 @@ fn main() {
 
     let read_scaling = run_read_scaling();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"throughput\",\n");
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str("  \"workloads\": {\n");
-    json.push_str("    \"inmem\": \"read-heavy storefront (90% point SELECT on shared catalog, 10% UPDATE on own cart row); pure in-memory statements — aggregate scaling above 1x additionally requires a multi-core host\",\n");
-    json.push_str(&format!(
-        "    \"simulated_io\": \"same statement mix with a {}us in-statement I/O stall per statement; under the global-mutex emulation the stall holds the mutex, as the pre-refactor engine did — measures the serialization structure on any host\"\n",
-        STATEMENT_IO.as_micros()
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"isolation\": \"{}\", \"threads\": {}, \"elapsed_secs\": {:.4}, \"stmts_per_sec\": {:.0}}}{comma}\n",
-            s.workload, s.mode, s.isolation, s.threads, s.elapsed_secs, s.stmts_per_sec
-        ));
-    }
-    json.push_str("  ],\n");
+    let results = samples.iter().map(|s| {
+        Json::Obj(vec![
+            field("workload", Json::str(s.workload)),
+            field("mode", Json::str(s.mode)),
+            field("isolation", Json::str(s.isolation.name())),
+            field("threads", Json::Num(s.threads as u64)),
+            field("elapsed_secs", Json::Fixed(s.elapsed_secs, 4)),
+            field("stmts_per_sec", Json::Fixed(s.stmts_per_sec, 0)),
+        ])
+    });
     // Engine-side contention per sample, from the observability layer:
     // where time went (statement/latch p99s) and how often sessions
     // collided (lock waits, blocked attempts, waiter high-water marks).
-    json.push_str("  \"contention\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
+    let contention = samples.iter().map(|s| {
         let m = &s.metrics;
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"isolation\": \"{}\", \"threads\": {}, \
-             \"lock_waits\": {}, \"lock_timeouts\": {}, \"deadlocks\": {}, \
-             \"blocked_attempts\": {}, \"lock_waiters_peak\": {}, \"latch_waiters_peak\": {}, \
-             \"stmt_p50_us\": {:.1}, \"stmt_p99_us\": {:.1}, \"latch_p99_us\": {:.1}, \
-             \"abort_rate\": {:.4}}}{comma}\n",
-            s.workload,
-            s.mode,
-            s.isolation,
-            s.threads,
-            m.counters.lock_waits,
-            m.counters.lock_timeouts,
-            m.counters.deadlocks,
-            m.counters.blocked_attempts,
-            m.lock_waiters_peak,
-            m.latch_waiters_peak,
-            m.statements.percentile_nanos(0.50) as f64 / 1_000.0,
-            m.statements.percentile_nanos(0.99) as f64 / 1_000.0,
-            m.latches.percentile_nanos(0.99) as f64 / 1_000.0,
-            m.abort_rate(),
-        ));
-    }
-    json.push_str("  ],\n");
+        let us = |nanos: u64| Json::Fixed(nanos as f64 / 1_000.0, 1);
+        Json::Obj(vec![
+            field("workload", Json::str(s.workload)),
+            field("mode", Json::str(s.mode)),
+            field("isolation", Json::str(s.isolation.name())),
+            field("threads", Json::Num(s.threads as u64)),
+            field("lock_waits", Json::Num(m.counters.lock_waits)),
+            field("lock_timeouts", Json::Num(m.counters.lock_timeouts)),
+            field("deadlocks", Json::Num(m.counters.deadlocks)),
+            field("blocked_attempts", Json::Num(m.counters.blocked_attempts)),
+            field("lock_waiters_peak", Json::Num(m.lock_waiters_peak)),
+            field("latch_waiters_peak", Json::Num(m.latch_waiters_peak)),
+            field("stmt_p50_us", us(m.statements.percentile_nanos(0.50))),
+            field("stmt_p99_us", us(m.statements.percentile_nanos(0.99))),
+            field("latch_p99_us", us(m.latches.percentile_nanos(0.99))),
+            field("abort_rate", Json::Fixed(m.abort_rate(), 4)),
+        ])
+    });
     // Read-only scaling on the inmem workload: every statement is a point
     // SELECT, so the curve isolates the lock-free visibility path.
-    json.push_str("  \"read_scaling\": {\n");
-    json.push_str("    \"workload\": \"inmem read-only (100% point SELECT on shared catalog)\",\n");
-    json.push_str("    \"isolation\": \"ReadCommitted\",\n");
-    json.push_str("    \"results\": [\n");
-    for (i, (threads, sps)) in read_scaling.iter().enumerate() {
-        let comma = if i + 1 == read_scaling.len() { "" } else { "," };
-        json.push_str(&format!(
-            "      {{\"threads\": {threads}, \"stmts_per_sec\": {sps:.0}}}{comma}\n"
-        ));
-    }
-    json.push_str("    ],\n");
     let pick = |t: usize| {
         read_scaling
             .iter()
@@ -362,26 +335,62 @@ fn main() {
             .map(|(_, sps)| *sps)
             .unwrap_or(f64::NAN)
     };
-    json.push_str(&format!(
-        "    \"scaling_1_to_4\": {:.2}\n",
-        pick(4) / pick(1)
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"speedup_vs_global_mutex\": {\n");
-    let mut lines = Vec::new();
+    let scaling_results = read_scaling.iter().map(|&(threads, sps)| {
+        Json::Obj(vec![
+            field("threads", Json::Num(threads as u64)),
+            field("stmts_per_sec", Json::Fixed(sps, 0)),
+        ])
+    });
+    let mut speedups = Vec::new();
     for w in &WORKLOADS {
         for isolation in IsolationLevel::ALL {
             for &threads in &THREAD_COUNTS {
-                lines.push(format!(
-                    "    \"{}/{isolation}@{threads}\": {:.2}",
-                    w.name,
-                    speedup(w.name, isolation, threads)
+                speedups.push(field(
+                    &format!("{}/{isolation}@{threads}", w.name),
+                    Json::Fixed(speedup(w.name, isolation, threads), 2),
                 ));
             }
         }
     }
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  }\n}\n");
+    let json = document(
+        "throughput",
+        vec![
+            field("host_cpus", Json::Num(host_cpus as u64)),
+            field(
+                "workloads",
+                Json::Obj(vec![
+                    field(
+                        "inmem",
+                        Json::str(
+                            "read-heavy storefront (90% point SELECT on shared catalog, 10% UPDATE on own cart row); pure in-memory statements — aggregate scaling above 1x additionally requires a multi-core host",
+                        ),
+                    ),
+                    field(
+                        "simulated_io",
+                        Json::str(format!(
+                            "same statement mix with a {}us in-statement I/O stall per statement; under the global-mutex emulation the stall holds the mutex, as the pre-refactor engine did — measures the serialization structure on any host",
+                            STATEMENT_IO.as_micros()
+                        )),
+                    ),
+                ]),
+            ),
+            field("results", Json::Arr(results.collect())),
+            field("contention", Json::Arr(contention.collect())),
+            field(
+                "read_scaling",
+                Json::Obj(vec![
+                    field(
+                        "workload",
+                        Json::str("inmem read-only (100% point SELECT on shared catalog)"),
+                    ),
+                    field("isolation", Json::str("ReadCommitted")),
+                    field("results", Json::Arr(scaling_results.collect())),
+                    field("scaling_1_to_4", Json::Fixed(pick(4) / pick(1), 2)),
+                ]),
+            ),
+            field("speedup_vs_global_mutex", Json::Obj(speedups)),
+        ],
+    );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     std::fs::write(path, &json).expect("write BENCH_throughput.json");

@@ -15,12 +15,15 @@
 //!
 //! `--smoke` is the CI gate: shorter window, and the process exits
 //! nonzero unless every level saw zero protocol errors and a nonzero
-//! number of server-side commits.
+//! number of server-side commits. Without `--out` a smoke run writes
+//! `loadgen-smoke.json` in the system temp directory, so it never
+//! overwrites the committed `BENCH_network.json`.
 //!
 //! `--attack flexcoin` reproduces the paper's over-withdrawal across
 //! real sockets: concurrent `transfer` requests race on the wire at
 //! READ COMMITTED until the solvency oracle reports a violation.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,7 +50,7 @@ fn main() {
     let mut config = LoadgenConfig::default();
     let mut smoke = false;
     let mut attack: Option<String> = None;
-    let mut out = "BENCH_network.json".to_string();
+    let mut out: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| {
@@ -65,7 +68,7 @@ fn main() {
                 config.duration = Duration::from_secs_f64(take("--secs").parse().expect("--secs S"))
             }
             "--users" => config.users = take("--users").parse().expect("--users N"),
-            "--out" => out = take("--out"),
+            "--out" => out = Some(take("--out").into()),
             other => panic!("unexpected argument {other:?}"),
         }
     }
@@ -82,10 +85,17 @@ fn main() {
         config.rate = config.rate.min(300.0);
         config.duration = config.duration.min(Duration::from_secs(4));
     }
+    let out = out.unwrap_or_else(|| {
+        if smoke {
+            std::env::temp_dir().join("loadgen-smoke.json")
+        } else {
+            PathBuf::from("BENCH_network.json")
+        }
+    });
     run_bench(&config, &out, smoke);
 }
 
-fn run_bench(config: &LoadgenConfig, out: &str, smoke: bool) {
+fn run_bench(config: &LoadgenConfig, out: &Path, smoke: bool) {
     let mut levels = Vec::new();
     // Each level runs on a fresh database; the artifact's `server`
     // section is all of their reports folded together.
@@ -137,7 +147,7 @@ fn run_bench(config: &LoadgenConfig, out: &str, smoke: bool) {
         handle.shutdown();
     }
     std::fs::write(out, render_report(config, &levels, &server)).expect("write report");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
     if smoke && !failures.is_empty() {
         eprintln!("SMOKE FAILED:");
         for f in &failures {

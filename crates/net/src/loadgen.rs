@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use acidrain_apps::flexcoin::{check_solvency, Flexcoin};
 use acidrain_apps::prelude::*;
 use acidrain_db::{Database, DbError, IsolationLevel};
+use acidrain_obs::json::{document, field, Json};
 use acidrain_obs::{Histogram, HistogramSnapshot, MetricsReport};
 
 use crate::client::RemoteConn;
@@ -238,49 +239,39 @@ pub fn render_report(
     levels: &[LevelResult],
     server: &MetricsReport,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"arrival\": \"open-loop\", \"sockets\": {}, \"threads\": {}, \
-         \"rate_per_sec\": {}, \"duration_s_per_level\": {:.3}, \"users\": {}, \
-         \"zipf_theta\": {}, \"seed\": {}}},\n",
-        config.sockets,
-        config.threads,
-        config.rate,
-        config.duration.as_secs_f64(),
-        config.users,
-        config.zipf_theta,
-        config.seed,
-    ));
-    out.push_str("  \"levels\": [\n");
-    for (i, l) in levels.iter().enumerate() {
-        let h = &l.latency;
-        out.push_str(&format!(
-            "    {{\"level\": \"{}\", \"code\": \"{}\", \"requests\": {}, \"ok\": {}, \
-             \"rejected\": {}, \"db_errors\": {}, \"protocol_errors\": {}, \
-             \"latency\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-             \"p99_ns\": {}, \"max_ns\": {}}}}}{}\n",
-            l.level.name(),
-            isolation_code(l.level),
-            l.requests,
-            l.ok,
-            l.rejected,
-            l.db_errors,
-            l.protocol_errors,
-            h.count(),
-            h.mean_nanos(),
-            h.percentile_nanos(0.50),
-            h.percentile_nanos(0.90),
-            h.percentile_nanos(0.99),
-            h.max_nanos,
-            if i + 1 == levels.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"server\": ");
-    let server_json = server.to_json().replace('\n', "\n  ");
-    out.push_str(&server_json);
-    out.push_str("\n}\n");
-    out
+    let config = Json::Obj(vec![
+        field("arrival", Json::str("open-loop")),
+        field("sockets", Json::Num(config.sockets as u64)),
+        field("threads", Json::Num(config.threads as u64)),
+        field("rate_per_sec", Json::float(config.rate)),
+        field(
+            "duration_s_per_level",
+            Json::Fixed(config.duration.as_secs_f64(), 3),
+        ),
+        field("users", Json::Num(config.users)),
+        field("zipf_theta", Json::float(config.zipf_theta)),
+        field("seed", Json::Num(config.seed)),
+    ]);
+    let levels = levels.iter().map(|l| {
+        Json::Obj(vec![
+            field("level", Json::str(l.level.name())),
+            field("code", Json::str(isolation_code(l.level))),
+            field("requests", Json::Num(l.requests)),
+            field("ok", Json::Num(l.ok)),
+            field("rejected", Json::Num(l.rejected)),
+            field("db_errors", Json::Num(l.db_errors)),
+            field("protocol_errors", Json::Num(l.protocol_errors)),
+            field("latency", l.latency.to_value()),
+        ])
+    });
+    document(
+        "network",
+        vec![
+            field("config", config),
+            field("levels", Json::Arr(levels.collect())),
+            field("server", server.to_value()),
+        ],
+    )
 }
 
 /// Outcome of one over-socket flexcoin attack run.
@@ -435,9 +426,17 @@ mod tests {
             server.merge(&db.metrics_report());
         }
         let json = render_report(&LoadgenConfig::default(), &[], &server);
+        let value = server.to_value();
+        let Some(Json::Arr(rows)) = value.get("by_level") else {
+            panic!("server report has no by_level array");
+        };
         for (i, level) in IsolationLevel::ALL.into_iter().enumerate() {
-            let row = format!("{{\"level\": \"{}\", \"commits\": {},", level.name(), i + 1);
-            assert!(json.contains(&row), "missing {row} in {json}");
+            let row = rows
+                .iter()
+                .find(|row| row.get("level") == Some(&Json::str(level.name())))
+                .unwrap_or_else(|| panic!("no by_level row for {}", level.name()));
+            assert_eq!(row.get("commits"), Some(&Json::Num(i as u64 + 1)));
+            assert!(json.contains(&format!("\"{}\"", level.name())), "{json}");
         }
         assert_eq!(server.by_level.len(), IsolationLevel::ALL.len());
         assert_eq!(server.counters.statements_ok, 3 * 21);

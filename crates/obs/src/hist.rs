@@ -16,6 +16,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::json::{field, Json};
+
 /// Number of log₂ buckets. Bucket 47 starts at 2^47 ns ≈ 39 hours, far
 /// beyond any latency this engine can produce.
 pub const HISTOGRAM_BUCKETS: usize = 48;
@@ -132,6 +134,19 @@ impl HistogramSnapshot {
             }
         }
         self.max_nanos
+    }
+
+    /// The summary every JSON artifact prints for a histogram: count,
+    /// mean, p50/p90/p99 and max, in nanoseconds.
+    pub fn to_value(&self) -> Json {
+        Json::Obj(vec![
+            field("count", Json::Num(self.count())),
+            field("mean_ns", Json::Num(self.mean_nanos())),
+            field("p50_ns", Json::Num(self.percentile_nanos(0.50))),
+            field("p90_ns", Json::Num(self.percentile_nanos(0.90))),
+            field("p99_ns", Json::Num(self.percentile_nanos(0.99))),
+            field("max_ns", Json::Num(self.max_nanos)),
+        ])
     }
 }
 

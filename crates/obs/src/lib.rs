@@ -34,6 +34,10 @@
 //!   commit/abort), exportable as plain JSON ([`trace_json`]) or the
 //!   `chrome://tracing` / Perfetto format ([`trace_chrome_json`]).
 //!
+//! Every JSON artifact in the workspace — the metrics report, both trace
+//! exports, the bench files and the 2AD reports — is rendered by the one
+//! writer in [`json`].
+//!
 //! ```
 //! use acidrain_obs::{Obs, ProbeOutcome};
 //! use std::time::Duration;
@@ -52,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod registry;
 pub mod report;
 pub mod trace;

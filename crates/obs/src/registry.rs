@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::hist::Histogram;
-use crate::report::{Counters, LevelMetrics, MetricsReport};
+use crate::report::{AtomicCounters, Counters, LevelMetrics, MetricsReport};
 use crate::trace::{SpanKind, TraceBuffer, TraceEvent};
 
 /// Number of metric shards; sessions map onto shards by `session % SHARDS`.
@@ -77,35 +77,7 @@ struct Shard {
     /// of sockets waiting when one more was enqueued.
     net_queue_depth: Histogram,
 
-    lock_waits: AtomicU64,
-    lock_timeouts: AtomicU64,
-    deadlocks: AtomicU64,
-    injected_faults: AtomicU64,
-    statement_retries: AtomicU64,
-    txn_replays: AtomicU64,
-    retries_gave_up: AtomicU64,
-    statements_ok: AtomicU64,
-    statements_failed: AtomicU64,
-    statements_aborted: AtomicU64,
-    blocked_attempts: AtomicU64,
-    log_appends: AtomicU64,
-    index_hits: AtomicU64,
-    index_fallbacks: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    wal_bytes: AtomicU64,
-    gc_runs: AtomicU64,
-    gc_reclaimed: AtomicU64,
-    net_accepted: AtomicU64,
-    net_rejected: AtomicU64,
-    net_queued: AtomicU64,
-    net_disconnect_aborts: AtomicU64,
-    net_frames: AtomicU64,
-    net_protocol_errors: AtomicU64,
-    net_timed_waits: AtomicU64,
-    repair_candidates: AtomicU64,
-    repair_closures: AtomicU64,
-    repair_replays: AtomicU64,
+    counters: AtomicCounters,
 
     commits_by_level: [AtomicU64; MAX_LEVELS],
     aborts_by_level: [AtomicU64; MAX_LEVELS],
@@ -276,6 +248,11 @@ impl Obs {
     }
 
     #[inline]
+    fn bank(&self, session: u64) -> &AtomicCounters {
+        &self.shard(session).counters
+    }
+
+    #[inline]
     fn trace_armed(&self) -> bool {
         self.registry.tracing.load(Ordering::Relaxed)
     }
@@ -330,14 +307,15 @@ impl Obs {
         let Some(start) = timer.0 else { return };
         let dur = start.elapsed();
         let shard = self.shard(session);
+        let c = &shard.counters;
         match outcome {
-            ProbeOutcome::Ok => shard.statements_ok.fetch_add(1, Ordering::Relaxed),
-            ProbeOutcome::Failed => shard.statements_failed.fetch_add(1, Ordering::Relaxed),
-            ProbeOutcome::Aborted => shard.statements_aborted.fetch_add(1, Ordering::Relaxed),
+            ProbeOutcome::Ok => c.statements_ok.fetch_add(1, Ordering::Relaxed),
+            ProbeOutcome::Failed => c.statements_failed.fetch_add(1, Ordering::Relaxed),
+            ProbeOutcome::Aborted => c.statements_aborted.fetch_add(1, Ordering::Relaxed),
             ProbeOutcome::Blocked => {
                 // Blocked attempts are retried verbatim; count them but
                 // keep the latency histogram to completed attempts.
-                shard.blocked_attempts.fetch_add(1, Ordering::Relaxed);
+                c.blocked_attempts.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         };
@@ -402,9 +380,9 @@ impl Obs {
         let dur = start.elapsed();
         self.registry.lock_waiters.fetch_sub(1, Ordering::Relaxed);
         let shard = self.shard(session);
-        shard.lock_waits.fetch_add(1, Ordering::Relaxed);
+        shard.counters.lock_waits.fetch_add(1, Ordering::Relaxed);
         if timed_out {
-            shard.lock_timeouts.fetch_add(1, Ordering::Relaxed);
+            shard.counters.lock_timeouts.fetch_add(1, Ordering::Relaxed);
         }
         shard.lock_waits_hist.record(dur);
         if self.trace_armed() {
@@ -448,9 +426,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(session)
-            .deadlocks
-            .fetch_add(1, Ordering::Relaxed);
+        self.bank(session).deadlocks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The fault injector fired. Called *after* the deterministic decision
@@ -460,7 +436,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(session)
+        self.bank(session)
             .injected_faults
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -471,11 +447,11 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let shard = self.shard(session);
+        let c = self.bank(session);
         match event {
-            RetryEvent::Statement => shard.statement_retries.fetch_add(1, Ordering::Relaxed),
-            RetryEvent::TxnReplay => shard.txn_replays.fetch_add(1, Ordering::Relaxed),
-            RetryEvent::GaveUp => shard.retries_gave_up.fetch_add(1, Ordering::Relaxed),
+            RetryEvent::Statement => c.statement_retries.fetch_add(1, Ordering::Relaxed),
+            RetryEvent::TxnReplay => c.txn_replays.fetch_add(1, Ordering::Relaxed),
+            RetryEvent::GaveUp => c.retries_gave_up.fetch_add(1, Ordering::Relaxed),
         };
     }
 
@@ -497,11 +473,11 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let shard = self.shard(session);
+        let c = self.bank(session);
         if hit {
-            shard.index_hits.fetch_add(1, Ordering::Relaxed);
+            c.index_hits.fetch_add(1, Ordering::Relaxed);
         } else {
-            shard.index_fallbacks.fetch_add(1, Ordering::Relaxed);
+            c.index_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -511,7 +487,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(session)
+        self.bank(session)
             .log_appends
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -533,9 +509,9 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let shard = self.shard(session);
-        shard.wal_appends.fetch_add(1, Ordering::Relaxed);
-        shard.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let c = self.bank(session);
+        c.wal_appends.fetch_add(1, Ordering::Relaxed);
+        c.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// A WAL fsync completed, making `batch` commit records durable at
@@ -548,7 +524,7 @@ impl Obs {
             return;
         }
         let shard = self.shard(session);
-        shard.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+        shard.counters.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
         shard.group_commit.record_nanos(batch);
     }
 
@@ -562,9 +538,9 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let shard = self.shard(0);
-        shard.gc_runs.fetch_add(1, Ordering::Relaxed);
-        shard.gc_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
+        let c = self.bank(0);
+        c.gc_runs.fetch_add(1, Ordering::Relaxed);
+        c.gc_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
         self.registry
             .gc_oldest_snapshot
             .fetch_max(oldest, Ordering::Relaxed);
@@ -594,7 +570,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(session)
+        self.bank(session)
             .net_accepted
             .fetch_add(1, Ordering::Relaxed);
         let now = self.registry.net_sessions.fetch_add(1, Ordering::Relaxed) + 1;
@@ -613,7 +589,7 @@ impl Obs {
         }
         self.registry.net_sessions.fetch_sub(1, Ordering::Relaxed);
         if disconnect_abort {
-            self.shard(session)
+            self.bank(session)
                 .net_disconnect_aborts
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -626,7 +602,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(0).net_rejected.fetch_add(1, Ordering::Relaxed);
+        self.bank(0).net_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A socket was parked in the admission queue; `depth` is the queue
@@ -637,7 +613,7 @@ impl Obs {
             return;
         }
         let shard = self.shard(0);
-        shard.net_queued.fetch_add(1, Ordering::Relaxed);
+        shard.counters.net_queued.fetch_add(1, Ordering::Relaxed);
         shard.net_queue_depth.record_nanos(depth);
     }
 
@@ -647,7 +623,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(session)
+        self.bank(session)
             .net_frames
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -661,9 +637,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(0)
-            .net_timed_waits
-            .fetch_add(1, Ordering::Relaxed);
+        self.bank(0).net_timed_waits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The server answered a malformed frame with `ERR PROTOCOL`.
@@ -672,7 +646,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(session)
+        self.bank(session)
             .net_protocol_errors
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -685,7 +659,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(0)
+        self.bank(0)
             .repair_candidates
             .fetch_add(n, Ordering::Relaxed);
     }
@@ -696,9 +670,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(0)
-            .repair_closures
-            .fetch_add(n, Ordering::Relaxed);
+        self.bank(0).repair_closures.fetch_add(n, Ordering::Relaxed);
     }
 
     /// The repair adviser replayed one repaired witness plan.
@@ -707,7 +679,7 @@ impl Obs {
         if !self.registry.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.shard(0).repair_replays.fetch_add(1, Ordering::Relaxed);
+        self.bank(0).repair_replays.fetch_add(1, Ordering::Relaxed);
     }
 
     // -- readout ----------------------------------------------------------
@@ -741,36 +713,7 @@ impl Obs {
             report
                 .net_queue_depth
                 .merge(&shard.net_queue_depth.snapshot());
-            let c = &mut report.counters;
-            c.lock_waits += shard.lock_waits.load(Ordering::Relaxed);
-            c.lock_timeouts += shard.lock_timeouts.load(Ordering::Relaxed);
-            c.deadlocks += shard.deadlocks.load(Ordering::Relaxed);
-            c.injected_faults += shard.injected_faults.load(Ordering::Relaxed);
-            c.statement_retries += shard.statement_retries.load(Ordering::Relaxed);
-            c.txn_replays += shard.txn_replays.load(Ordering::Relaxed);
-            c.retries_gave_up += shard.retries_gave_up.load(Ordering::Relaxed);
-            c.statements_ok += shard.statements_ok.load(Ordering::Relaxed);
-            c.statements_failed += shard.statements_failed.load(Ordering::Relaxed);
-            c.statements_aborted += shard.statements_aborted.load(Ordering::Relaxed);
-            c.blocked_attempts += shard.blocked_attempts.load(Ordering::Relaxed);
-            c.log_appends += shard.log_appends.load(Ordering::Relaxed);
-            c.index_hits += shard.index_hits.load(Ordering::Relaxed);
-            c.index_fallbacks += shard.index_fallbacks.load(Ordering::Relaxed);
-            c.wal_appends += shard.wal_appends.load(Ordering::Relaxed);
-            c.wal_fsyncs += shard.wal_fsyncs.load(Ordering::Relaxed);
-            c.wal_bytes += shard.wal_bytes.load(Ordering::Relaxed);
-            c.gc_runs += shard.gc_runs.load(Ordering::Relaxed);
-            c.gc_reclaimed += shard.gc_reclaimed.load(Ordering::Relaxed);
-            c.net_accepted += shard.net_accepted.load(Ordering::Relaxed);
-            c.net_rejected += shard.net_rejected.load(Ordering::Relaxed);
-            c.net_queued += shard.net_queued.load(Ordering::Relaxed);
-            c.net_disconnect_aborts += shard.net_disconnect_aborts.load(Ordering::Relaxed);
-            c.net_frames += shard.net_frames.load(Ordering::Relaxed);
-            c.net_protocol_errors += shard.net_protocol_errors.load(Ordering::Relaxed);
-            c.net_timed_waits += shard.net_timed_waits.load(Ordering::Relaxed);
-            c.repair_candidates += shard.repair_candidates.load(Ordering::Relaxed);
-            c.repair_closures += shard.repair_closures.load(Ordering::Relaxed);
-            c.repair_replays += shard.repair_replays.load(Ordering::Relaxed);
+            report.counters += shard.counters.load();
             for i in 0..MAX_LEVELS {
                 commits[i] += shard.commits_by_level[i].load(Ordering::Relaxed);
                 aborts[i] += shard.aborts_by_level[i].load(Ordering::Relaxed);

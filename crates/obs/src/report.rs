@@ -6,114 +6,120 @@
 //! `BENCH_throughput.json`. It is plain owned data; producing one never
 //! perturbs the engine.
 
-use crate::hist::HistogramSnapshot;
-use crate::trace::json_escape;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic event counters, aggregated across shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
+use crate::hist::HistogramSnapshot;
+use crate::json::{document, field, Json};
+
+/// Declares [`Counters`] and the registry's per-shard atomic bank from
+/// one list of documented names, so the struct, its `+=`, the shard fold
+/// and the JSON export cannot drift apart.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// Monotonic event counters, aggregated across shards.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        impl std::ops::AddAssign for Counters {
+            fn add_assign(&mut self, other: Counters) {
+                $(self.$name += other.$name;)+
+            }
+        }
+
+        impl Counters {
+            /// Every counter as one JSON object, in declaration order.
+            pub(crate) fn to_value(self) -> Json {
+                Json::Obj(vec![$(field(stringify!($name), Json::Num(self.$name)),)+])
+            }
+        }
+
+        /// One registry shard's bank of the same counters, bumped with
+        /// relaxed atomics on the probe paths.
+        #[derive(Debug, Default)]
+        pub(crate) struct AtomicCounters {
+            $(pub(crate) $name: AtomicU64,)+
+        }
+
+        impl AtomicCounters {
+            /// The bank's current values.
+            pub(crate) fn load(&self) -> Counters {
+                Counters { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+        }
+    };
+}
+
+counters! {
     /// Lock-table parks (a statement blocked on a conflicting holder).
-    pub lock_waits: u64,
+    lock_waits,
     /// Parks that ended by exhausting the lock-wait timeout.
-    pub lock_timeouts: u64,
+    lock_timeouts,
     /// Organic waits-for-cycle deadlocks detected.
-    pub deadlocks: u64,
+    deadlocks,
     /// Faults the injector fired (counted after the deterministic
     /// decision).
-    pub injected_faults: u64,
+    injected_faults,
     /// Single-statement re-issues by retry wrappers.
-    pub statement_retries: u64,
+    statement_retries,
     /// Whole-transaction replays by retry wrappers.
-    pub txn_replays: u64,
+    txn_replays,
     /// Retryable errors surfaced after the retry budget ran out.
-    pub retries_gave_up: u64,
+    retries_gave_up,
     /// Statements that completed successfully.
-    pub statements_ok: u64,
+    statements_ok,
     /// Statement-level failures (transaction survived).
-    pub statements_failed: u64,
+    statements_failed,
     /// Statements whose failure rolled the whole transaction back.
-    pub statements_aborted: u64,
+    statements_aborted,
     /// Attempts that hit a lock conflict and were retried verbatim.
-    pub blocked_attempts: u64,
+    blocked_attempts,
     /// Query-log entries appended.
-    pub log_appends: u64,
+    log_appends,
     /// Table scans routed through an equality index (candidate set came
     /// from an index probe instead of a full slot walk).
-    pub index_hits: u64,
+    index_hits,
     /// Predicated table scans that fell back to the full slot walk (no
     /// usable `col = literal` conjunct, column not index-backed, or the
     /// index path disabled).
-    pub index_fallbacks: u64,
+    index_fallbacks,
     /// Commit records appended to the write-ahead log.
-    pub wal_appends: u64,
+    wal_appends,
     /// WAL fsyncs issued (group commit amortizes many appends per fsync).
-    pub wal_fsyncs: u64,
+    wal_fsyncs,
     /// Bytes of framed commit records appended to the WAL.
-    pub wal_bytes: u64,
+    wal_bytes,
     /// Version-GC passes completed.
-    pub gc_runs: u64,
+    gc_runs,
     /// Superseded row versions reclaimed by GC across all passes.
-    pub gc_reclaimed: u64,
+    gc_reclaimed,
     /// Network sessions the wire server accepted and mapped onto
     /// connections.
-    pub net_accepted: u64,
+    net_accepted,
     /// Sockets refused by admission control (`ERR SERVER_BUSY`).
-    pub net_rejected: u64,
+    net_rejected,
     /// Sockets parked in the admission queue before being admitted.
-    pub net_queued: u64,
+    net_queued,
     /// Server-side aborts triggered by a client vanishing mid-transaction
     /// (the disconnect path through normal rollback).
-    pub net_disconnect_aborts: u64,
+    net_disconnect_aborts,
     /// Protocol frames (request lines) the server parsed.
-    pub net_frames: u64,
+    net_frames,
     /// Malformed frames / protocol violations the server answered with
     /// `ERR PROTOCOL`.
-    pub net_protocol_errors: u64,
+    net_protocol_errors,
     /// Waits the wire server began that end on a timer: session reads
     /// armed with a timeout, and admission-retry naps while sockets are
     /// queued. Zero for an idle server with neither configured.
-    pub net_timed_waits: u64,
+    net_timed_waits,
     /// Candidate fix sets the repair adviser evaluated statically.
-    pub repair_candidates: u64,
+    repair_candidates,
     /// Candidate fix sets that closed their finding without opening a
     /// new one.
-    pub repair_closures: u64,
+    repair_closures,
     /// Repaired witness plans the adviser replayed against the engine.
-    pub repair_replays: u64,
-}
-
-impl std::ops::AddAssign for Counters {
-    fn add_assign(&mut self, other: Counters) {
-        self.lock_waits += other.lock_waits;
-        self.lock_timeouts += other.lock_timeouts;
-        self.deadlocks += other.deadlocks;
-        self.injected_faults += other.injected_faults;
-        self.statement_retries += other.statement_retries;
-        self.txn_replays += other.txn_replays;
-        self.retries_gave_up += other.retries_gave_up;
-        self.statements_ok += other.statements_ok;
-        self.statements_failed += other.statements_failed;
-        self.statements_aborted += other.statements_aborted;
-        self.blocked_attempts += other.blocked_attempts;
-        self.log_appends += other.log_appends;
-        self.index_hits += other.index_hits;
-        self.index_fallbacks += other.index_fallbacks;
-        self.wal_appends += other.wal_appends;
-        self.wal_fsyncs += other.wal_fsyncs;
-        self.wal_bytes += other.wal_bytes;
-        self.gc_runs += other.gc_runs;
-        self.gc_reclaimed += other.gc_reclaimed;
-        self.net_accepted += other.net_accepted;
-        self.net_rejected += other.net_rejected;
-        self.net_queued += other.net_queued;
-        self.net_disconnect_aborts += other.net_disconnect_aborts;
-        self.net_frames += other.net_frames;
-        self.net_protocol_errors += other.net_protocol_errors;
-        self.net_timed_waits += other.net_timed_waits;
-        self.repair_candidates += other.repair_candidates;
-        self.repair_closures += other.repair_closures;
-        self.repair_replays += other.repair_replays;
-    }
+    repair_replays,
 }
 
 /// Commit/abort counts for one isolation level.
@@ -253,106 +259,50 @@ impl MetricsReport {
         self.net_sessions_peak = self.net_sessions_peak.max(other.net_sessions_peak);
     }
 
-    /// Serialize the whole report as a self-contained JSON object.
+    /// Serialize the whole report as a `"metrics"` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        out.push_str(&format!(
-            "  \"commit_clock\": {},\n  \"lock_waiters\": {},\n  \"lock_waiters_peak\": {},\n  \
-             \"latch_waiters\": {},\n  \"latch_waiters_peak\": {},\n  \
-             \"gc_oldest_snapshot\": {},\n  \"gc_chain_peak\": {},\n",
-            self.commit_clock,
-            self.lock_waiters,
-            self.lock_waiters_peak,
-            self.latch_waiters,
-            self.latch_waiters_peak,
-            self.gc_oldest_snapshot,
-            self.gc_chain_peak,
-        ));
-        out.push_str(&format!(
-            "  \"net_sessions\": {},\n  \"net_sessions_peak\": {},\n",
-            self.net_sessions, self.net_sessions_peak,
-        ));
-        let c = &self.counters;
-        out.push_str(&format!(
-            "  \"counters\": {{\"lock_waits\": {}, \"lock_timeouts\": {}, \"deadlocks\": {}, \
-             \"injected_faults\": {}, \"statement_retries\": {}, \"txn_replays\": {}, \
-             \"retries_gave_up\": {}, \"statements_ok\": {}, \"statements_failed\": {}, \
-             \"statements_aborted\": {}, \"blocked_attempts\": {}, \"log_appends\": {}, \
-             \"index_hits\": {}, \"index_fallbacks\": {}, \"wal_appends\": {}, \
-             \"wal_fsyncs\": {}, \"wal_bytes\": {}, \"gc_runs\": {}, \
-             \"gc_reclaimed\": {}, \"net_accepted\": {}, \"net_rejected\": {}, \
-             \"net_queued\": {}, \"net_disconnect_aborts\": {}, \"net_frames\": {}, \
-             \"net_protocol_errors\": {}, \"net_timed_waits\": {}, \
-             \"repair_candidates\": {}, \"repair_closures\": {}, \
-             \"repair_replays\": {}}},\n",
-            c.lock_waits,
-            c.lock_timeouts,
-            c.deadlocks,
-            c.injected_faults,
-            c.statement_retries,
-            c.txn_replays,
-            c.retries_gave_up,
-            c.statements_ok,
-            c.statements_failed,
-            c.statements_aborted,
-            c.blocked_attempts,
-            c.log_appends,
-            c.index_hits,
-            c.index_fallbacks,
-            c.wal_appends,
-            c.wal_fsyncs,
-            c.wal_bytes,
-            c.gc_runs,
-            c.gc_reclaimed,
-            c.net_accepted,
-            c.net_rejected,
-            c.net_queued,
-            c.net_disconnect_aborts,
-            c.net_frames,
-            c.net_protocol_errors,
-            c.net_timed_waits,
-            c.repair_candidates,
-            c.repair_closures,
-            c.repair_replays,
-        ));
-        out.push_str("  \"by_level\": [");
-        for (i, l) in self.by_level.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"level\": \"{}\", \"commits\": {}, \"aborts\": {}, \"abort_rate\": {:.4}}}",
-                json_escape(&l.level),
-                l.commits,
-                l.aborts,
-                l.abort_rate(),
-            ));
-        }
-        out.push_str("],\n");
-        let hist = |name: &str, h: &HistogramSnapshot, last: bool| {
-            format!(
-                "  \"{name}\": {{\"count\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                 \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
-                h.count(),
-                h.mean_nanos(),
-                h.percentile_nanos(0.50),
-                h.percentile_nanos(0.90),
-                h.percentile_nanos(0.99),
-                h.max_nanos,
-                if last { "" } else { "," },
-            )
-        };
-        out.push_str(&hist("statements", &self.statements, false));
-        out.push_str(&hist("transactions", &self.transactions, false));
-        out.push_str(&hist("lock_waits", &self.lock_waits, false));
-        out.push_str(&hist("latches", &self.latches, false));
-        out.push_str(&hist("tasks", &self.tasks, false));
-        out.push_str(&hist("backoff", &self.backoff, false));
-        out.push_str(&hist("group_commit", &self.group_commit, false));
-        out.push_str(&hist("net_queue_depth", &self.net_queue_depth, true));
-        out.push('}');
-        out
+        document("metrics", self.fields())
+    }
+
+    /// The report as a JSON value, for nesting inside another artifact.
+    pub fn to_value(&self) -> Json {
+        Json::Obj(self.fields())
+    }
+
+    fn fields(&self) -> Vec<(String, Json)> {
+        // Signed gauges are never negative in a settled report; `Fixed`
+        // with no places prints them as integers.
+        let gauge = |g: i64| Json::Fixed(g as f64, 0);
+        let by_level = self.by_level.iter().map(|l| {
+            Json::Obj(vec![
+                field("level", Json::str(&l.level)),
+                field("commits", Json::Num(l.commits)),
+                field("aborts", Json::Num(l.aborts)),
+                field("abort_rate", Json::Fixed(l.abort_rate(), 4)),
+            ])
+        });
+        vec![
+            field("enabled", Json::Bool(self.enabled)),
+            field("commit_clock", Json::Num(self.commit_clock)),
+            field("lock_waiters", gauge(self.lock_waiters)),
+            field("lock_waiters_peak", Json::Num(self.lock_waiters_peak)),
+            field("latch_waiters", gauge(self.latch_waiters)),
+            field("latch_waiters_peak", Json::Num(self.latch_waiters_peak)),
+            field("gc_oldest_snapshot", Json::Num(self.gc_oldest_snapshot)),
+            field("gc_chain_peak", Json::Num(self.gc_chain_peak)),
+            field("net_sessions", gauge(self.net_sessions)),
+            field("net_sessions_peak", Json::Num(self.net_sessions_peak)),
+            field("counters", self.counters.to_value()),
+            field("by_level", Json::Arr(by_level.collect())),
+            field("statements", self.statements.to_value()),
+            field("transactions", self.transactions.to_value()),
+            field("lock_waits", self.lock_waits.to_value()),
+            field("latches", self.latches.to_value()),
+            field("tasks", self.tasks.to_value()),
+            field("backoff", self.backoff.to_value()),
+            field("group_commit", self.group_commit.to_value()),
+            field("net_queue_depth", self.net_queue_depth.to_value()),
+        ]
     }
 }
 
@@ -402,7 +352,8 @@ mod tests {
             ..MetricsReport::default()
         };
         let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert!(json.starts_with('{') && json.ends_with("}\n"));
+        assert!(json.contains("\"kind\": \"metrics\""));
         assert!(json.contains("\"enabled\": true"));
         assert!(json.contains("\"lock_waits\":"));
         assert!(json.contains("\"READ COMMITTED\""));

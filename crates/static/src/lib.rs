@@ -47,7 +47,6 @@ pub mod audit;
 pub mod remediate;
 pub mod replay;
 pub mod report;
-pub mod serialize;
 pub mod template;
 
 pub use audit::{
@@ -64,5 +63,4 @@ pub use replay::{
     ReplayOutcome, ReplayPlan, ReplayReport, ScenarioPlans, ScenarioReplay, SessionScript, Verdict,
 };
 pub use report::{render_json, render_text};
-pub use serialize::{document, json_escape, Json, SCHEMA_VERSION};
 pub use template::{endpoint_templates, symbolize_trace, EndpointTemplates};

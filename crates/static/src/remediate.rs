@@ -51,8 +51,8 @@ use acidrain_sql::{
 use crate::audit::{refinement_for, static_finding, AuditError, SeedRef, StaticFinding};
 use crate::replay::{ReplayPlan, Verdict};
 use crate::report::level_abbrev;
-use crate::serialize::{document, field, Json};
 use crate::template::symbolize_trace;
+use acidrain_obs::json::{document, field, Json};
 
 // ---------------------------------------------------------------------------
 // Fixes.

@@ -29,8 +29,8 @@ use acidrain_db::{IsolationLevel, LogEntry};
 
 use crate::audit::{refinement_for, static_finding, AuditError, StaticFinding};
 use crate::report::level_abbrev;
-use crate::serialize::{document, field, Json};
 use crate::template::symbolize_trace;
+use acidrain_obs::json::{document, field, Json};
 
 /// One session of a replay plan: an API instance's canned statements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -413,7 +413,7 @@ fn outcome_value(o: &ReplayOutcome) -> Json {
 }
 
 /// Render the replay report as JSON (deterministic, schema-stable;
-/// shares the [`crate::serialize::SCHEMA_VERSION`] stamp with the audit
+/// shares the [`acidrain_obs::json::SCHEMA_VERSION`] stamp with the audit
 /// and adviser reports).
 pub fn render_replay_json(report: &ReplayReport) -> String {
     let apps = report

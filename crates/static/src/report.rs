@@ -7,7 +7,7 @@
 use acidrain_db::IsolationLevel;
 
 use crate::audit::{LevelAudit, SeedRef, StaticAuditReport, StaticFinding};
-use crate::serialize::{document, field, Json};
+use acidrain_obs::json::{document, field, Json};
 
 /// Short column header per level, in [`IsolationLevel::ALL`] order.
 pub(crate) fn level_abbrev(level: IsolationLevel) -> &'static str {
@@ -48,7 +48,7 @@ pub(crate) fn finding_value(f: &StaticFinding) -> Json {
 }
 
 /// Render the audit as JSON (deterministic, schema-stable; shares the
-/// [`crate::serialize::SCHEMA_VERSION`] stamp with the replay and
+/// [`acidrain_obs::json::SCHEMA_VERSION`] stamp with the replay and
 /// adviser reports).
 pub fn render_json(report: &StaticAuditReport) -> String {
     let apps = report

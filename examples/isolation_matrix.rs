@@ -123,14 +123,14 @@ fn instrumented_demo(trace: bool) {
     );
     println!();
     println!("--- metrics (MetricsReport::to_json) ---");
-    println!("{}", db.metrics_report().to_json());
+    print!("{}", db.metrics_report().to_json());
 
     if trace {
         let events = db.take_trace();
         println!("--- trace ({} span events, trace_json) ---", events.len());
-        println!("{}", trace_json(&events));
+        print!("{}", trace_json(&events));
         println!("--- trace (chrome://tracing / Perfetto) ---");
-        println!("{}", trace_chrome_json(&events));
+        print!("{}", trace_chrome_json(&events));
     }
 }
 

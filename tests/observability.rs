@@ -165,11 +165,11 @@ fn trace_spans_cover_the_transaction_lifecycle_and_export_cleanly() {
 
     // Both exporters emit parseable JSON arrays with one element per span.
     let plain = trace_json(&events);
-    assert!(plain.starts_with('[') && plain.ends_with(']'));
+    assert!(plain.starts_with('[') && plain.ends_with("]\n"));
     assert_eq!(plain.matches("\"kind\"").count(), events.len());
 
     let chrome = trace_chrome_json(&events);
-    assert!(chrome.starts_with('[') && chrome.ends_with(']'));
+    assert!(chrome.starts_with('[') && chrome.ends_with("]\n"));
     assert_eq!(chrome.matches("\"ph\": \"X\"").count(), events.len());
 
     // take_trace drains.
