@@ -12,8 +12,9 @@
 //! reads the cart twice during checkout.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use acidrain_db::sync;
 
 use crate::framework::*;
 
@@ -156,7 +157,7 @@ impl ShopApp for Saleor {
     }
 
     fn reset_session_state(&self) {
-        self.session_carts.lock().clear();
+        sync::lock(&self.session_carts).clear();
     }
 
     fn add_to_cart(
@@ -167,8 +168,7 @@ impl ShopApp for Saleor {
         qty: i64,
     ) -> AppResult<()> {
         // No SQL at all: the cart lives in the session.
-        self.session_carts
-            .lock()
+        sync::lock(&self.session_carts)
             .entry(cart)
             .or_default()
             .push((product, qty));
@@ -176,9 +176,7 @@ impl ShopApp for Saleor {
     }
 
     fn checkout(&self, conn: &mut dyn SqlConn, cart: i64, req: &CheckoutRequest) -> AppResult<i64> {
-        let lines: Vec<(i64, i64)> = self
-            .session_carts
-            .lock()
+        let lines: Vec<(i64, i64)> = sync::lock(&self.session_carts)
             .get(&cart)
             .cloned()
             .unwrap_or_default();
@@ -190,7 +188,7 @@ impl ShopApp for Saleor {
         match &result {
             Ok(_) => {
                 conn.exec("COMMIT")?;
-                self.session_carts.lock().remove(&cart);
+                sync::lock(&self.session_carts).remove(&cart);
             }
             Err(_) => {
                 conn.exec("ROLLBACK")?;

@@ -2,36 +2,30 @@
 //! (the paper's "Parse" column), cycle search (the "Analyze" column), and
 //! the §4.2.3 targeted-filtering ablation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use acidrain_apps::all_apps;
-use acidrain_bench::BENCH_APPS;
+use acidrain_bench::{bench, BENCH_APPS};
 use acidrain_core::lift::lift_trace;
 use acidrain_core::{AbstractHistory, Analyzer, ColumnTarget, Detector, RefinementConfig};
 use acidrain_harness::attack::Invariant;
 use acidrain_harness::experiments::{pentest_trace, PAPER_DEFAULT_ISOLATION};
 
-fn bench_parse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table4_parse");
+fn bench_parse() {
     for app in all_apps() {
         if !BENCH_APPS.contains(&app.name()) {
             continue;
         }
         let log = pentest_trace(app.as_ref(), PAPER_DEFAULT_ISOLATION);
         let schema = app.schema();
-        group.bench_with_input(BenchmarkId::from_parameter(app.name()), &log, |b, log| {
-            b.iter(|| {
-                let trace = lift_trace(black_box(log), &schema).unwrap();
-                AbstractHistory::build(trace)
-            });
+        bench(&format!("table4_parse/{}", app.name()), 20, || {
+            let trace = lift_trace(black_box(&log), &schema).unwrap();
+            AbstractHistory::build(trace)
         });
     }
-    group.finish();
 }
 
-fn bench_analyze(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table4_analyze");
+fn bench_analyze() {
     for app in all_apps() {
         if !BENCH_APPS.contains(&app.name()) {
             continue;
@@ -40,20 +34,14 @@ fn bench_analyze(c: &mut Criterion) {
         let trace = lift_trace(&log, &app.schema()).unwrap();
         let history = AbstractHistory::build(trace);
         let config = RefinementConfig::at_isolation(PAPER_DEFAULT_ISOLATION);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(app.name()),
-            &history,
-            |b, history| {
-                b.iter(|| Detector::new(black_box(history), &config).find_all());
-            },
-        );
+        bench(&format!("table4_analyze/{}", app.name()), 20, || {
+            Detector::new(black_box(&history), &config).find_all()
+        });
     }
-    group.finish();
 }
 
 /// §4.2.3: targeted (schema-filtered) search vs the full pair sweep.
-fn bench_targeted_vs_full(c: &mut Criterion) {
-    let mut group = c.benchmark_group("targeted_vs_full");
+fn bench_targeted_vs_full() {
     let apps = all_apps();
     let app = apps.iter().find(|a| a.name() == "OpenCart").unwrap();
     let log = pentest_trace(app.as_ref(), PAPER_DEFAULT_ISOLATION);
@@ -63,17 +51,17 @@ fn bench_targeted_vs_full(c: &mut Criterion) {
     for invariant in Invariant::ALL {
         targets.extend(invariant.targets());
     }
-    group.bench_function("full", |b| b.iter(|| analyzer.analyze(black_box(&config))));
-    group.bench_function("targeted", |b| {
-        b.iter(|| analyzer.analyze_targeted(black_box(&config), &targets))
+    bench("targeted_vs_full/full", 20, || {
+        analyzer.analyze(black_box(&config))
     });
-    group.finish();
+    bench("targeted_vs_full/targeted", 20, || {
+        analyzer.analyze_targeted(black_box(&config), &targets)
+    });
 }
 
 /// Refinement ablation: cycle search with no refinement, isolation-based
 /// refinement, and isolation + session locking.
-fn bench_refinement_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("refinement_ablation");
+fn bench_refinement_ablation() {
     let apps = all_apps();
     let app = apps.iter().find(|a| a.name() == "OpenCart").unwrap();
     let log = pentest_trace(app.as_ref(), PAPER_DEFAULT_ISOLATION);
@@ -93,16 +81,15 @@ fn bench_refinement_ablation(c: &mut Criterion) {
         ),
     ];
     for (label, config) in configs {
-        group.bench_function(label, |b| b.iter(|| analyzer.analyze(black_box(&config))));
+        bench(&format!("refinement_ablation/{label}"), 20, || {
+            analyzer.analyze(black_box(&config))
+        });
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_parse,
-    bench_analyze,
-    bench_targeted_vs_full,
-    bench_refinement_ablation
-);
-criterion_main!(benches);
+fn main() {
+    bench_parse();
+    bench_analyze();
+    bench_targeted_vs_full();
+    bench_refinement_ablation();
+}

@@ -2,9 +2,9 @@
 //! level, and lock-manager overheads — the moving parts every experiment
 //! sits on.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use acidrain_bench::{bench, bench_with_setup};
 use acidrain_db::{Database, IsolationLevel, Value};
 use acidrain_sql::parse_statement;
 use acidrain_sql::schema::{ColumnDef, ColumnType, Schema, TableSchema};
@@ -20,8 +20,7 @@ fn schema() -> Schema {
     ))
 }
 
-fn bench_parser(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sql_parse");
+fn bench_parser() {
     let statements = [
         ("select_simple", "SELECT qty FROM items WHERE id = 42"),
         (
@@ -41,46 +40,45 @@ fn bench_parser(c: &mut Criterion) {
         ),
     ];
     for (label, sql) in statements {
-        group.bench_function(label, |b| {
-            b.iter(|| parse_statement(black_box(sql)).unwrap())
+        bench(&format!("sql_parse/{label}"), 20, || {
+            parse_statement(black_box(sql)).unwrap()
         });
     }
-    group.finish();
 }
 
-fn bench_execution_per_isolation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("read_modify_write_txn");
+/// One read-modify-write transaction per sample, each on a freshly seeded
+/// database.
+fn bench_execution_per_isolation() {
     for level in IsolationLevel::ALL {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{level}")),
-            &level,
-            |b, level| {
-                let db = Database::new(schema(), *level);
-                db.seed(
-                    "items",
-                    (0..64)
-                        .map(|i| vec![Value::Null, Value::Int(i % 8), Value::Int(100)])
-                        .collect(),
-                )
-                .unwrap();
-                let mut conn = db.connect();
-                b.iter(|| {
-                    conn.execute("BEGIN").unwrap();
-                    let q = conn
-                        .query_i64("SELECT qty FROM items WHERE id = 1")
-                        .unwrap();
-                    conn.execute(&format!("UPDATE items SET qty = {} WHERE id = 1", q + 1))
-                        .unwrap();
-                    conn.execute("COMMIT").unwrap();
-                });
+        let seeded = || {
+            let db = Database::new(schema(), level);
+            db.seed(
+                "items",
+                (0..64)
+                    .map(|i| vec![Value::Null, Value::Int(i % 8), Value::Int(100)])
+                    .collect(),
+            )
+            .unwrap();
+            db.connect()
+        };
+        bench_with_setup(
+            &format!("read_modify_write_txn/{level}"),
+            20,
+            seeded,
+            |conn| {
+                conn.execute("BEGIN").unwrap();
+                let q = conn
+                    .query_i64("SELECT qty FROM items WHERE id = 1")
+                    .unwrap();
+                conn.execute(&format!("UPDATE items SET qty = {} WHERE id = 1", q + 1))
+                    .unwrap();
+                conn.execute("COMMIT").unwrap();
             },
         );
     }
-    group.finish();
 }
 
-fn bench_scan_and_aggregate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scan");
+fn bench_scan_and_aggregate() {
     for rows in [100usize, 1000] {
         let db = Database::new(schema(), IsolationLevel::ReadCommitted);
         db.seed(
@@ -91,32 +89,25 @@ fn bench_scan_and_aggregate(c: &mut Criterion) {
         )
         .unwrap();
         let mut conn = db.connect();
-        group.bench_with_input(BenchmarkId::new("sum_predicate", rows), &rows, |b, _| {
-            b.iter(|| {
-                conn.query_i64(black_box("SELECT SUM(qty) FROM items WHERE bucket = 3"))
-                    .unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_insert_throughput(c: &mut Criterion) {
-    c.bench_function("insert_autocommit", |b| {
-        let db = Database::new(schema(), IsolationLevel::ReadCommitted);
-        let mut conn = db.connect();
-        b.iter(|| {
-            conn.execute(black_box("INSERT INTO items (bucket, qty) VALUES (1, 2)"))
+        bench(&format!("scan/sum_predicate/{rows}"), 20, || {
+            conn.query_i64(black_box("SELECT SUM(qty) FROM items WHERE bucket = 3"))
                 .unwrap()
         });
+    }
+}
+
+/// One autocommit insert per sample, each into a fresh, empty database.
+fn bench_insert_throughput() {
+    let fresh = || Database::new(schema(), IsolationLevel::ReadCommitted).connect();
+    bench_with_setup("insert_autocommit", 20, fresh, |conn| {
+        conn.execute(black_box("INSERT INTO items (bucket, qty) VALUES (1, 2)"))
+            .unwrap()
     });
 }
 
-criterion_group!(
-    benches,
-    bench_parser,
-    bench_execution_per_isolation,
-    bench_scan_and_aggregate,
-    bench_insert_throughput
-);
-criterion_main!(benches);
+fn main() {
+    bench_parser();
+    bench_execution_per_isolation();
+    bench_scan_and_aggregate();
+    bench_insert_throughput();
+}

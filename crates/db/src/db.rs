@@ -18,13 +18,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use acidrain_obs::{MetricsReport, Obs, ProbeOutcome, TraceEvent};
 use acidrain_sql::schema::Schema;
 use acidrain_sql::{parse_statement, Statement};
-use parking_lot::Mutex;
 
 use crate::error::DbError;
 use crate::exec;
@@ -34,6 +33,7 @@ use crate::lock::LockTable;
 use crate::log::{ApiTag, LogEntry, QueryLog, StmtOutcome};
 use crate::result::ResultSet;
 use crate::storage::{GcStats, ReadView, RowVersion, Storage, TableData};
+use crate::sync;
 use crate::txn::{TxnId, TxnState};
 use crate::value::Value;
 use crate::wal::{self, RecoveryInfo, Wal, WalConfig};
@@ -247,7 +247,7 @@ impl Database {
     /// means a vanished session leaked its pin and version GC is stalled
     /// at that timestamp).
     pub fn pinned_snapshots(&self) -> usize {
-        self.pinned_snapshots.lock().len()
+        sync::lock(&self.pinned_snapshots).len()
     }
 
     /// Enable or disable the equality-index read path. The per-table
@@ -303,7 +303,7 @@ impl Database {
     /// untouched. Callers must hold no table latches.
     pub fn gc(&self) -> GcStats {
         let oldest = {
-            let pins = self.pinned_snapshots.lock();
+            let pins = sync::lock(&self.pinned_snapshots);
             let clock = self.storage.commit_ts();
             pins.keys().next().map_or(clock, |p| (*p).min(clock))
         };
@@ -381,7 +381,7 @@ impl Database {
     /// records into storage — use [`Database::recover`] on a fresh engine
     /// for that. Errors if a WAL is already attached.
     pub fn attach_wal(&self, config: WalConfig) -> Result<(), DbError> {
-        let mut slot = self.wal.lock();
+        let mut slot = sync::lock(&self.wal);
         if slot.is_some() {
             return Err(DbError::Internal("a WAL is already attached".into()));
         }
@@ -442,7 +442,7 @@ impl Database {
         if !self.wal_attached.load(Ordering::Acquire) {
             return None;
         }
-        self.wal.lock().clone()
+        sync::lock(&self.wal).clone()
     }
 
     /// Open a new session. Never refused: in-process callers (fixtures,
@@ -677,7 +677,7 @@ impl Database {
     /// Drop the transaction's GC pin, if it registered one.
     fn unpin_snapshot(&self, state: &TxnState) {
         if let Some(ts) = state.pinned_snapshot {
-            let mut pins = self.pinned_snapshots.lock();
+            let mut pins = sync::lock(&self.pinned_snapshots);
             if let Some(n) = pins.get_mut(&ts) {
                 *n -= 1;
                 if *n == 0 {
@@ -698,7 +698,7 @@ impl Database {
                 return ts;
             }
             let commit_ts = {
-                let mut pins = self.pinned_snapshots.lock();
+                let mut pins = sync::lock(&self.pinned_snapshots);
                 let commit_ts = self.storage.commit_ts();
                 *pins.entry(commit_ts).or_insert(0) += 1;
                 commit_ts

@@ -19,10 +19,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use acidrain_obs::Obs;
-use parking_lot::Mutex;
+
+use crate::sync;
 
 /// What kinds of faults to inject, with what probabilities.
 ///
@@ -406,7 +408,7 @@ impl FaultHandle {
 
     /// Replace the configuration, resetting all counters and stats.
     pub fn reconfigure(&self, config: FaultConfig) {
-        let mut inner = self.inner.lock();
+        let mut inner = sync::lock(&self.inner);
         inner.reconfigure(config);
         self.any_faults
             .store(inner.config().any_faults(), Ordering::Release);
@@ -418,7 +420,7 @@ impl FaultHandle {
 
     /// Counters for everything fired so far.
     pub fn stats(&self) -> FaultStats {
-        self.inner.lock().stats()
+        sync::lock(&self.inner).stats()
     }
 
     /// Whether the latency channel is configured (lock-free).
@@ -432,7 +434,7 @@ impl FaultHandle {
         if !self.any_faults.load(Ordering::Acquire) {
             return None;
         }
-        let fault = self.inner.lock().next_fault(session, data_statement);
+        let fault = sync::lock(&self.inner).next_fault(session, data_statement);
         if fault.is_some() {
             self.obs.injected_fault(session);
         }
@@ -446,7 +448,7 @@ impl FaultHandle {
         if !self.crash_armed.load(Ordering::Acquire) {
             return false;
         }
-        self.inner.lock().next_crash(point)
+        sync::lock(&self.inner).next_crash(point)
     }
 
     /// See [`FaultInjector::draw_latency`]; returns `base` without locking
@@ -455,7 +457,7 @@ impl FaultHandle {
         if !self.latency.load(Ordering::Acquire) {
             return base;
         }
-        self.inner.lock().draw_latency(session, base)
+        sync::lock(&self.inner).draw_latency(session, base)
     }
 }
 

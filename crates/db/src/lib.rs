@@ -50,6 +50,7 @@ pub mod log;
 pub mod plan;
 pub mod result;
 pub mod storage;
+pub mod sync;
 pub mod txn;
 pub mod value;
 pub mod wal;

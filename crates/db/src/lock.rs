@@ -13,12 +13,13 @@
 //! requester is the victim.
 
 use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use acidrain_obs::Obs;
-use parking_lot::{Condvar, Mutex};
 
 use crate::latch_order::{self, LatchRank};
+use crate::sync;
 use crate::txn::TxnId;
 
 /// A lockable resource.
@@ -275,7 +276,7 @@ impl LockTable {
     pub fn acquire(&self, txn: TxnId, resource: ResourceId, mode: LockMode) -> LockOutcome {
         let outcome = {
             let _order = latch_order::acquired(LatchRank::LockManager, None);
-            self.manager.lock().acquire(txn, resource, mode)
+            sync::lock(&self.manager).acquire(txn, resource, mode)
         };
         if outcome == LockOutcome::Deadlock {
             self.obs.deadlock(txn.0);
@@ -287,7 +288,7 @@ impl LockTable {
     pub fn release_all(&self, txn: TxnId) {
         {
             let _order = latch_order::acquired(LatchRank::LockManager, None);
-            self.manager.lock().release_all(txn);
+            sync::lock(&self.manager).release_all(txn);
         }
         self.released.notify_all();
     }
@@ -305,35 +306,25 @@ impl LockTable {
             !latch_order::holds_at_or_above(LatchRank::CommitSerial),
             "wait_for_release called with an engine latch held"
         );
-        let deadline = Instant::now() + timeout;
         let _order = latch_order::acquired(LatchRank::LockManager, None);
-        let mut manager = self.manager.lock();
-        while !manager.waiting_on(txn).is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            if self
-                .released
-                .wait_for(&mut manager, deadline - now)
-                .timed_out()
-            {
-                return !manager.waiting_on(txn).is_empty();
-            }
-        }
-        false
+        let manager = sync::lock(&self.manager);
+        sync::wait_timeout_while(&self.released, manager, timeout, |m| {
+            !m.waiting_on(txn).is_empty()
+        })
+        .1
+        .timed_out()
     }
 
     /// Whether `txn` holds `resource` in a mode covering `mode`.
     pub fn holds(&self, txn: TxnId, resource: ResourceId, mode: LockMode) -> bool {
         let _order = latch_order::acquired(LatchRank::LockManager, None);
-        self.manager.lock().holds(txn, resource, mode)
+        sync::lock(&self.manager).holds(txn, resource, mode)
     }
 
     /// Number of currently locked resources (diagnostics/tests).
     pub fn locked_resources(&self) -> usize {
         let _order = latch_order::acquired(LatchRank::LockManager, None);
-        self.manager.lock().locked_resources()
+        sync::lock(&self.manager).locked_resources()
     }
 }
 

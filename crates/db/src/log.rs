@@ -13,11 +13,12 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use acidrain_obs::Obs;
-use parking_lot::Mutex;
 
 use crate::latch_order::{self, LatchRank};
+use crate::sync;
 
 /// Identifies one invocation of one application API endpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -160,7 +161,7 @@ impl QueryLog {
         let shard = session as usize % LOG_SHARDS;
         {
             let _order = latch_order::acquired(LatchRank::LogShard, Some(shard));
-            self.shards[shard].lock().push(entry);
+            sync::lock(&self.shards[shard]).push(entry);
         }
         self.obs.log_append(session);
     }
@@ -173,7 +174,7 @@ impl QueryLog {
             .enumerate()
             .flat_map(|(i, shard)| {
                 let _order = latch_order::acquired(LatchRank::LogShard, Some(i));
-                shard.lock().clone()
+                sync::lock(shard).clone()
             })
             .collect();
         all.sort_by_key(|e| e.seq);
@@ -187,7 +188,7 @@ impl QueryLog {
             .enumerate()
             .map(|(i, shard)| {
                 let _order = latch_order::acquired(LatchRank::LogShard, Some(i));
-                shard.lock().len()
+                sync::lock(shard).len()
             })
             .sum()
     }
@@ -215,7 +216,7 @@ impl QueryLog {
             .enumerate()
             .map(|(i, shard)| {
                 let order = latch_order::acquired(LatchRank::LogShard, Some(i));
-                (order, shard.lock())
+                (order, sync::lock(shard))
             })
             .collect();
         let mut all: Vec<LogEntry> = guards

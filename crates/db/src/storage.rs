@@ -29,11 +29,12 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::DbError;
 use crate::index::TableIndexes;
 use crate::latch_order::{self, LatchRank, LatchToken};
+use crate::sync;
 use crate::txn::{TxnId, UndoRecord};
 use crate::value::Value;
 use crate::wal::WalOp;
@@ -305,7 +306,7 @@ impl Storage {
     pub fn read(&self, table: usize) -> TableReadGuard<'_> {
         let token = latch_order::acquired(LatchRank::Storage, Some(table));
         TableReadGuard {
-            guard: self.tables[table].read(),
+            guard: sync::read(&self.tables[table]),
             _token: token,
         }
     }
@@ -314,7 +315,7 @@ impl Storage {
     pub fn write(&self, table: usize) -> TableWriteGuard<'_> {
         let token = latch_order::acquired(LatchRank::Storage, Some(table));
         TableWriteGuard {
-            guard: self.tables[table].write(),
+            guard: sync::write(&self.tables[table]),
             _token: token,
         }
     }
@@ -336,7 +337,7 @@ impl Storage {
     /// serialized part is the stamping itself, under `commit_serial`.
     pub fn publish_commit(&self, txn: TxnId, undo: &[UndoRecord]) {
         let _serial_order = latch_order::acquired(LatchRank::CommitSerial, None);
-        let _serial = self.commit_serial.lock();
+        let _serial = sync::lock(&self.commit_serial);
         let ts = self.commit_ts.load(Ordering::Relaxed) + 1;
         let mut i = 0;
         while i < undo.len() {
@@ -375,7 +376,7 @@ impl Storage {
     /// `CommitSerial`) can be taken freely inside `f`.
     pub(crate) fn with_commit_frozen<R>(&self, f: impl FnOnce() -> R) -> R {
         let _serial_order = latch_order::acquired(LatchRank::CommitSerial, None);
-        let _serial = self.commit_serial.lock();
+        let _serial = sync::lock(&self.commit_serial);
         f()
     }
 
@@ -396,7 +397,7 @@ impl Storage {
         append: impl FnOnce(u64, &[WalOp]) -> Result<u64, DbError>,
     ) -> Result<u64, DbError> {
         let _serial_order = latch_order::acquired(LatchRank::CommitSerial, None);
-        let _serial = self.commit_serial.lock();
+        let _serial = sync::lock(&self.commit_serial);
         let ts = self.commit_ts.load(Ordering::Relaxed) + 1;
         let mut ops = Vec::with_capacity(undo.len() + 1);
         let mut i = 0;

@@ -64,15 +64,16 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use acidrain_obs::Obs;
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::DbError;
 use crate::fault::{CrashPoint, FaultHandle};
 use crate::index::TableIndexes;
 use crate::storage::{RowSlot, RowVersion, Storage};
+use crate::sync;
 use crate::txn::TxnId;
 use crate::value::Value;
 
@@ -534,13 +535,13 @@ impl Wal {
 
     /// Whether a simulated crash (or real I/O failure) killed the log.
     pub fn is_dead(&self) -> bool {
-        self.inner.lock().dead.is_some()
+        sync::lock(&self.inner).dead.is_some()
     }
 
     /// Bytes of record data currently in the log file (excluding the
     /// header). Drives log-size-triggered auto-checkpointing.
     pub(crate) fn log_bytes(&self) -> u64 {
-        self.io.lock().end - WAL_HEADER_LEN
+        sync::lock(&self.io).end - WAL_HEADER_LEN
     }
 
     fn dead_err(msg: &str) -> DbError {
@@ -560,22 +561,14 @@ impl Wal {
         faults: &FaultHandle,
     ) -> Result<u64, DbError> {
         let record = encode_record(ts, txn, ops);
-        let mut g = self.inner.lock();
+        let mut g = sync::lock(&self.inner);
         if let Some(msg) = &g.dead {
             return Err(Self::dead_err(msg));
         }
         if faults.next_crash(CrashPoint::WalAppend) {
             // A kill mid-append leaves everything previously buffered plus
             // a torn prefix of this record on the device.
-            loop {
-                if let Some(msg) = &g.dead {
-                    return Err(Self::dead_err(msg));
-                }
-                if !g.flushing {
-                    break;
-                }
-                self.flushed.wait(&mut g);
-            }
+            let mut g = self.await_idle(g)?;
             let mut torn = std::mem::take(&mut g.buf);
             g.buf_commits = 0;
             torn.extend_from_slice(&record[..record.len() / 2]);
@@ -591,7 +584,7 @@ impl Wal {
         g.appended_lsn += record.len() as u64;
         let lsn = g.appended_lsn;
         if !self.config.group_commit {
-            self.flush_inline(&mut g, session, faults)?;
+            self.flush_inline(g, session, faults)?;
         }
         Ok(lsn)
     }
@@ -606,17 +599,16 @@ impl Wal {
         session: u64,
         faults: &FaultHandle,
     ) -> Result<(), DbError> {
-        let mut g = self.inner.lock();
+        let mut g = sync::lock(&self.inner);
         loop {
+            g = sync::wait_while(&self.flushed, g, |w| {
+                w.flushing && w.dead.is_none() && w.durable_lsn < lsn
+            });
             if let Some(msg) = &g.dead {
                 return Err(Self::dead_err(msg));
             }
             if g.durable_lsn >= lsn {
                 return Ok(());
-            }
-            if g.flushing {
-                self.flushed.wait(&mut g);
-                continue;
             }
             // Become the leader: take the batch, flush outside the lock.
             g.flushing = true;
@@ -625,7 +617,7 @@ impl Wal {
             let target = g.appended_lsn;
             drop(g);
             let res = self.write_batch(&bytes, faults);
-            g = self.inner.lock();
+            g = sync::lock(&self.inner);
             g.flushing = false;
             match res {
                 Ok(()) => {
@@ -640,23 +632,28 @@ impl Wal {
         }
     }
 
+    /// Wait out an in-flight flush leader: the buffer lock back once no
+    /// flush is running, or the dead error if the log died meanwhile.
+    fn await_idle<'a>(
+        &self,
+        g: MutexGuard<'a, WalInner>,
+    ) -> Result<MutexGuard<'a, WalInner>, DbError> {
+        let g = sync::wait_while(&self.flushed, g, |w| w.flushing && w.dead.is_none());
+        match &g.dead {
+            Some(msg) => Err(Self::dead_err(msg)),
+            None => Ok(g),
+        }
+    }
+
     /// Per-commit-fsync flush, holding the buffer lock throughout (the
     /// caller is inside the commit critical section anyway).
     fn flush_inline(
         &self,
-        g: &mut MutexGuard<'_, WalInner>,
+        g: MutexGuard<'_, WalInner>,
         session: u64,
         faults: &FaultHandle,
     ) -> Result<(), DbError> {
-        loop {
-            if let Some(msg) = &g.dead {
-                return Err(Self::dead_err(msg));
-            }
-            if !g.flushing {
-                break;
-            }
-            self.flushed.wait(g);
-        }
+        let mut g = self.await_idle(g)?;
         let bytes = std::mem::take(&mut g.buf);
         let commits = std::mem::replace(&mut g.buf_commits, 0);
         let target = g.appended_lsn;
@@ -678,7 +675,7 @@ impl Wal {
     /// Write + fsync a batch at the file's valid end, honouring the
     /// pre-fsync and post-fsync crash points.
     fn write_batch(&self, bytes: &[u8], faults: &FaultHandle) -> Result<(), DbError> {
-        let mut f = self.io.lock();
+        let mut f = sync::lock(&self.io);
         let base = f.end;
         f.file.seek(SeekFrom::Start(base))?;
         f.file.write_all(bytes)?;
@@ -707,7 +704,7 @@ impl Wal {
     /// Raw write + fsync at the file end (torn-tail crash path; errors are
     /// ignored because the log is about to be declared dead anyway).
     fn write_raw(&self, bytes: &[u8]) -> std::io::Result<()> {
-        let mut f = self.io.lock();
+        let mut f = sync::lock(&self.io);
         let base = f.end;
         f.file.seek(SeekFrom::Start(base))?;
         f.file.write_all(bytes)?;
@@ -731,16 +728,7 @@ impl Wal {
     /// the snapshot (their effects are in storage), so their `sync_to`
     /// waiters complete via the advanced `durable_lsn`.
     pub(crate) fn checkpoint(&self, snapshot: &[u8], faults: &FaultHandle) -> Result<(), DbError> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(msg) = &g.dead {
-                return Err(Self::dead_err(msg));
-            }
-            if !g.flushing {
-                break;
-            }
-            self.flushed.wait(&mut g);
-        }
+        let mut g = self.await_idle(sync::lock(&self.inner))?;
         let tmp = self.config.snapshot_tmp_path();
         if faults.next_crash(CrashPoint::MidCheckpoint) {
             // Killed mid-write: a partial temp file is left behind; the
@@ -758,7 +746,7 @@ impl Wal {
         drop(f);
         fs::rename(&tmp, self.config.snapshot_path())?;
         {
-            let mut io = self.io.lock();
+            let mut io = sync::lock(&self.io);
             io.file.set_len(WAL_HEADER_LEN)?;
             io.file.sync_data()?;
             io.end = WAL_HEADER_LEN;

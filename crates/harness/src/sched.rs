@@ -11,12 +11,10 @@
 //! progress), which is how witness-derived schedules remain executable
 //! even when the database's locks fight back.
 
-use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use acidrain_apps::SqlConn;
-use acidrain_db::{Connection, Database, DbError, ResultSet};
+use acidrain_db::{sync, Connection, Database, DbError, ResultSet};
 
 /// Session state shared between a session thread and the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +45,14 @@ impl Gate {
             to_driver: Condvar::new(),
         })
     }
+
+    /// Wait (on `st`, this gate's state guard) until the session is parked
+    /// before a statement or has finished.
+    fn settle<'a>(&self, st: MutexGuard<'a, GateState>) -> MutexGuard<'a, GateState> {
+        sync::wait_while(&self.to_driver, st, |s| {
+            matches!(s, GateState::Running | GateState::PermitGranted)
+        })
+    }
 }
 
 /// What happened when the driver granted one permit.
@@ -71,14 +77,14 @@ pub struct GatedConn {
 impl GatedConn {
     /// Park until the driver grants a permit.
     fn await_permit(&mut self) {
-        let mut st = self.gate.state.lock();
+        let mut st = sync::lock(&self.gate.state);
         *st = GateState::AwaitingPermit {
             blocked: self.last_blocked,
         };
         self.gate.to_driver.notify_all();
-        while *st != GateState::PermitGranted {
-            self.gate.to_session.wait(&mut st);
-        }
+        let mut st = sync::wait_while(&self.gate.to_session, st, |s| {
+            *s != GateState::PermitGranted
+        });
         *st = GateState::Running;
     }
 }
@@ -118,7 +124,7 @@ struct FinishGuard(Arc<Gate>);
 
 impl Drop for FinishGuard {
     fn drop(&mut self) {
-        let mut st = self.0.state.lock();
+        let mut st = sync::lock(&self.0.state);
         *st = GateState::Finished;
         self.0.to_driver.notify_all();
     }
@@ -142,34 +148,21 @@ impl Stepper {
 
     /// Whether session `i` has finished its task.
     pub fn finished(&self, i: usize) -> bool {
-        *self.gates[i].state.lock() == GateState::Finished
+        *sync::lock(&self.gates[i].state) == GateState::Finished
     }
 
     /// Grant one permit to session `i` and wait for the outcome.
     pub fn step(&mut self, i: usize) -> StepOutcome {
         let gate = &self.gates[i];
-        let mut st = gate.state.lock();
-        loop {
-            match *st {
-                GateState::AwaitingPermit { .. } => break,
-                GateState::Finished => return StepOutcome::Finished,
-                _ => gate.to_driver.wait(&mut st),
-            }
+        let mut st = gate.settle(sync::lock(&gate.state));
+        if *st == GateState::Finished {
+            return StepOutcome::Finished;
         }
         *st = GateState::PermitGranted;
         gate.to_session.notify_all();
-        loop {
-            match *st {
-                GateState::AwaitingPermit { blocked } => {
-                    return if blocked {
-                        StepOutcome::Blocked
-                    } else {
-                        StepOutcome::Executed
-                    };
-                }
-                GateState::Finished => return StepOutcome::Executed,
-                _ => gate.to_driver.wait(&mut st),
-            }
+        match *gate.settle(st) {
+            GateState::AwaitingPermit { blocked: true } => StepOutcome::Blocked,
+            _ => StepOutcome::Executed,
         }
     }
 
@@ -322,10 +315,7 @@ where
         // Wait until every session is parked at its first statement (or
         // already finished) before handing control to the schedule.
         for gate in &stepper.gates {
-            let mut st = gate.state.lock();
-            while matches!(*st, GateState::Running | GateState::PermitGranted) {
-                gate.to_driver.wait(&mut st);
-            }
+            drop(gate.settle(sync::lock(&gate.state)));
         }
         schedule(&mut stepper);
         stepper.drain();

@@ -22,11 +22,11 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use acidrain_db::{Connection, Database};
+use acidrain_db::{sync, Connection, Database};
 use acidrain_obs::Obs;
 
 use crate::protocol::{encode_error, encode_result, escape, isolation_code, Request, MAX_LINE};
@@ -186,7 +186,7 @@ impl Shared {
     /// removal that leaves it valid, so a poisoned lock is still usable —
     /// and shutdown, which runs in `Drop`, must not panic on one.
     fn state(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        sync::lock(&self.state)
     }
 
     fn stopping(&self) -> bool {
